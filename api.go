@@ -10,9 +10,17 @@
 //   - experiment runners (Figure2, Motivation, CleanSlate, ReusedVM,
 //     Breakdown, Colocated, ManyVMs, Pressure) that regenerate each figure and
 //     table of the paper's evaluation on one shared job grid;
-//   - the single-run primitives (Run, RunMicro, RunColocated, RunMany,
-//     Systems, Workloads) for custom studies. All of them execute on
-//     the same unified N-VM engine (NewEngine for full control).
+//   - the single-run primitives for custom studies: an EngineConfig,
+//     usually started from the SingleVM or ColocatedPair preset and
+//     adjusted field by field, run with NewEngine(cfg).Run(); plus
+//     RunMicro for Figure 2 points, Systems and Workloads.
+//
+// SingleVM is the paper's single-VM setting: a 1024 MB guest on a
+// 2560 MB host, 6000 measured requests. ColocatedPair is the §6.5
+// consolidation setting: two 768 MB guests on a 2560 MB host, 4000
+// measured requests, fragmentation toward FMFI 0.9 at density 0.4.
+// Fields the presets leave zero take the engine defaults documented on
+// EngineConfig.
 //
 // Everything is deterministic for a given seed. See DESIGN.md for the
 // system inventory and EXPERIMENTS.md for measured-vs-paper results.
@@ -29,8 +37,6 @@ import (
 // Re-exported experiment types. See package repro/internal/sim for
 // field documentation.
 type (
-	// Config describes one simulation run.
-	Config = sim.Config
 	// Result reports one simulation run.
 	Result = sim.Result
 	// System identifies a page-management system under test.
@@ -39,13 +45,11 @@ type (
 	MicroConfig = sim.MicroConfig
 	// MicroResult reports one Figure 2 point.
 	MicroResult = sim.MicroResult
-	// ColocatedConfig describes a two-VM consolidation run (§6.5).
-	ColocatedConfig = sim.ColocatedConfig
 	// WorkloadSpec describes one application model (Table 2).
 	WorkloadSpec = workload.Spec
 	// VMConfig describes one VM of an N-VM engine run.
 	VMConfig = sim.VMConfig
-	// EngineConfig describes a full N-VM engine run.
+	// EngineConfig describes one simulation run of one or more VMs.
 	EngineConfig = sim.EngineConfig
 	// FragSpec describes one fragmentation pre-pass.
 	FragSpec = sim.FragSpec
@@ -72,11 +76,11 @@ var (
 	Segmentation        = sim.Segmentation
 )
 
-// Flight-recorder re-exports. A TraceRecorder attached to Config.Trace
-// (or Options.Trace, EngineConfig.Trace, ColocatedConfig.Trace) records
-// structured events and per-tick samples during the run; the run's
-// Result carries them in Timeline and Events. See package
-// repro/internal/trace for the schema and determinism contract.
+// Flight-recorder re-exports. A TraceRecorder attached to
+// EngineConfig.Trace (or Options.Trace) records structured events and
+// per-tick samples during the run; the run's Result carries them in
+// Timeline and Events. See package repro/internal/trace for the schema
+// and determinism contract.
 type (
 	// TraceConfig sizes the recorder (sample stride, ring capacity).
 	TraceConfig = trace.Config
@@ -110,23 +114,22 @@ func WriteTraceSeries(w io.Writer, samples []TraceSample) error {
 // ReadTraceSeries decodes a series CSV written by WriteTraceSeries.
 func ReadTraceSeries(r io.Reader) ([]TraceSample, error) { return trace.ReadSeriesCSV(r) }
 
-// Run executes one experiment configuration.
-func Run(cfg Config) Result { return sim.Run(cfg) }
-
 // RunMicro executes one Figure 2 micro-benchmark point.
 func RunMicro(mc MicroConfig) MicroResult { return sim.RunMicro(mc) }
 
-// RunColocated executes a two-VM consolidation run and returns per-VM
-// results.
-func RunColocated(cc ColocatedConfig) (Result, Result) { return sim.RunColocated(cc) }
+// SingleVM returns the paper's single-VM setting for one workload under
+// one system (see package sim).
+func SingleVM(sys System, spec WorkloadSpec) EngineConfig { return sim.SingleVM(sys, spec) }
 
-// RunMany executes one N-VM engine run with default pacing and host
-// sizing, returning per-VM results in VM order. For full control
-// (seeds, fragmentation, audit), build a sim Engine via NewEngine.
-func RunMany(vms []VMConfig) []Result { return sim.RunMany(vms) }
+// ColocatedPair returns the paper's two-VM consolidation setting (§6.5)
+// on its historical seed streams (see package sim).
+func ColocatedPair(sys System, a, b WorkloadSpec, seed int64) EngineConfig {
+	return sim.ColocatedPair(sys, a, b, seed)
+}
 
-// NewEngine builds the unified N-VM simulation engine for an explicit
-// configuration; Engine.Run returns per-VM results.
+// NewEngine builds the unified N-VM simulation engine for a
+// configuration; Engine.Run returns per-VM results in VM order. It
+// panics when cfg fails EngineConfig.Validate.
 func NewEngine(ec EngineConfig) *sim.Engine { return sim.NewEngine(ec) }
 
 // Systems returns the figure-grade evaluated systems: the paper's

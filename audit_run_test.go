@@ -9,21 +9,16 @@ import (
 
 // TestAuditedGeminiRun drives the paper's headline setting — Gemini on
 // fragmented memory, clean slate — with the full cross-layer invariant
-// audit enabled. sim.Run panics on the first violation, so completing
+// audit enabled. The engine panics on the first violation, so completing
 // is the assertion: every audit over the whole run found the buddy
 // allocator, page tables, TLB, and coordinator mutually consistent.
 func TestAuditedGeminiRun(t *testing.T) {
-	cfg := sim.Config{
-		System:     sim.Gemini,
-		Workload:   workload.Redis(),
-		Fragmented: true,
-		Requests:   1000,
-		Audit:      true,
-		AuditEvery: 8,
-		Seed:       7,
-	}
-	cfg.Workload.FootprintMB /= 2
-	res := sim.Run(cfg)
+	spec := workload.Redis()
+	spec.FootprintMB /= 2
+	cfg := sim.SingleVM(sim.Gemini, spec)
+	cfg.Fragmented, cfg.Requests, cfg.Seed = true, 1000, 7
+	cfg.Audit, cfg.AuditEvery = true, 8
+	res := runOne(cfg)
 	if res.Throughput <= 0 {
 		t.Fatalf("audited run produced no throughput: %+v", res)
 	}
@@ -35,11 +30,11 @@ func TestAuditedColocatedRun(t *testing.T) {
 	a, b := workload.Specjbb(), workload.Shore()
 	a.FootprintMB /= 4
 	b.FootprintMB /= 4
-	ra, rb := sim.RunColocated(sim.ColocatedConfig{
-		System: sim.Gemini, WorkloadA: a, WorkloadB: b,
-		Fragmented: true, Requests: 600,
-		Audit: true, AuditEvery: 8, Seed: 7,
-	})
+	cfg := sim.ColocatedPair(sim.Gemini, a, b, 7)
+	cfg.Fragmented, cfg.Requests = true, 600
+	cfg.Audit, cfg.AuditEvery = true, 8
+	rs := sim.NewEngine(cfg).Run()
+	ra, rb := rs[0], rs[1]
 	if ra.Throughput <= 0 || rb.Throughput <= 0 {
 		t.Fatalf("audited collocated run produced no throughput: %+v / %+v", ra, rb)
 	}

@@ -193,11 +193,14 @@ func benchAblation(b *testing.B, variant System) {
 		b.Fatal(err)
 	}
 	spec.FootprintMB /= 2
+	run := func(sys System) Result {
+		cfg := SingleVM(sys, spec)
+		cfg.VMs[0].ReusedVM = true
+		cfg.Fragmented, cfg.Requests, cfg.Seed = true, 1500, 1
+		return runOne(cfg)
+	}
 	for i := 0; i < b.N; i++ {
-		full := Run(Config{System: Gemini, Workload: spec, Fragmented: true,
-			ReusedVM: true, Requests: 1500, Seed: 1})
-		abl := Run(Config{System: variant, Workload: spec, Fragmented: true,
-			ReusedVM: true, Requests: 1500, Seed: 1})
+		full, abl := run(Gemini), run(variant)
 		if abl.Throughput > 0 {
 			b.ReportMetric(full.Throughput/abl.Throughput, "full/ablated")
 		}

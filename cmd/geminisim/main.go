@@ -189,31 +189,25 @@ func runAll(systems []repro.System, spec repro.WorkloadSpec, vms int, fragmented
 	return results
 }
 
-// runOne runs the configured experiment: a single VM through Run, or
-// n consolidated copies of the workload through the unified engine.
+// runOne runs the configured experiment: a single VM in the paper's
+// single-VM setting, or n consolidated copies of the workload on engine
+// defaults.
 func runOne(sys repro.System, spec repro.WorkloadSpec, n int, fragmented, reused bool, requests int, seed int64, rec *repro.TraceRecorder) []repro.Result {
-	if n == 1 {
-		return []repro.Result{repro.Run(repro.Config{
-			System:     sys,
-			Workload:   spec,
-			Fragmented: fragmented,
-			ReusedVM:   reused,
-			Requests:   requests,
-			Seed:       seed,
-			Trace:      rec,
-		})}
+	cfg := repro.SingleVM(sys, spec)
+	if n > 1 {
+		cfg = repro.EngineConfig{VMs: make([]repro.VMConfig, n)}
+		for i := range cfg.VMs {
+			cfg.VMs[i] = repro.VMConfig{System: sys, Workload: spec}
+		}
 	}
-	vms := make([]repro.VMConfig, n)
-	for i := range vms {
-		vms[i] = repro.VMConfig{System: sys, Workload: spec, ReusedVM: reused}
+	for i := range cfg.VMs {
+		cfg.VMs[i].ReusedVM = reused
 	}
-	return repro.NewEngine(repro.EngineConfig{
-		VMs:        vms,
-		Fragmented: fragmented,
-		Requests:   requests,
-		Seed:       seed,
-		Trace:      rec,
-	}).Run()
+	if requests != 0 { // zero keeps the setting's own default
+		cfg.Requests = requests
+	}
+	cfg.Fragmented, cfg.Seed, cfg.Trace = fragmented, seed, rec
+	return repro.NewEngine(cfg).Run()
 }
 
 // writeTrace flushes the recorder's event log and sample series to the

@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // double-run test and the golden snapshot. They span the coordinated
 // system, the guest-only baseline, and a host-side system, on three
 // workloads with different access skews.
-func determinismCases() []sim.Config {
+func determinismCases() []sim.EngineConfig {
 	cases := []struct {
 		system sim.System
 		spec   workload.Spec
@@ -28,20 +28,19 @@ func determinismCases() []sim.Config {
 		{sim.THP, workload.Canneal()},
 		{sim.HawkEye, workload.Specjbb()},
 	}
-	cfgs := make([]sim.Config, 0, len(cases))
+	cfgs := make([]sim.EngineConfig, 0, len(cases))
 	for _, c := range cases {
 		spec := c.spec
 		spec.FootprintMB /= 4
-		cfgs = append(cfgs, sim.Config{
-			System:     c.system,
-			Workload:   spec,
-			Fragmented: true,
-			Requests:   400,
-			Seed:       42,
-		})
+		cfg := sim.SingleVM(c.system, spec)
+		cfg.Fragmented, cfg.Requests, cfg.Seed = true, 400, 42
+		cfgs = append(cfgs, cfg)
 	}
 	return cfgs
 }
+
+// runOne runs a one-VM engine configuration and returns its result.
+func runOne(cfg sim.EngineConfig) Result { return sim.NewEngine(cfg).Run()[0] }
 
 // TestRunDeterminism locks the simulator's seed contract: two runs of
 // the same configuration must agree on every Result field, bit for bit.
@@ -49,11 +48,11 @@ func determinismCases() []sim.Config {
 func TestRunDeterminism(t *testing.T) {
 	for _, cfg := range determinismCases() {
 		cfg := cfg
-		name := fmt.Sprintf("%s/%s", cfg.System, cfg.Workload.Name)
+		name := fmt.Sprintf("%s/%s", cfg.VMs[0].System, cfg.VMs[0].Workload.Name)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			first := sim.Run(cfg)
-			second := sim.Run(cfg)
+			first := runOne(cfg)
+			second := runOne(cfg)
 			if !reflect.DeepEqual(first, second) {
 				t.Errorf("same seed, different results:\n  first:  %+v\n  second: %+v", first, second)
 			}
@@ -65,7 +64,7 @@ func TestRunDeterminism(t *testing.T) {
 // colocated double-run test and golden snapshot: the paper's headline
 // pair under the coordinated system, and a store/PARSEC pair under the
 // guest-only baseline.
-func colocatedDeterminismCases() []sim.ColocatedConfig {
+func colocatedDeterminismCases() []sim.EngineConfig {
 	cases := []struct {
 		system sim.System
 		a, b   workload.Spec
@@ -73,47 +72,42 @@ func colocatedDeterminismCases() []sim.ColocatedConfig {
 		{sim.Gemini, workload.Masstree(), workload.SPD()},
 		{sim.THP, workload.Redis(), workload.Canneal()},
 	}
-	cfgs := make([]sim.ColocatedConfig, 0, len(cases))
+	cfgs := make([]sim.EngineConfig, 0, len(cases))
 	for _, c := range cases {
 		a, b := c.a, c.b
 		a.FootprintMB /= 4
 		b.FootprintMB /= 4
-		cfgs = append(cfgs, sim.ColocatedConfig{
-			System:     c.system,
-			WorkloadA:  a,
-			WorkloadB:  b,
-			Fragmented: true,
-			Requests:   400,
-			Seed:       42,
-		})
+		cfg := sim.ColocatedPair(c.system, a, b, 42)
+		cfg.Fragmented, cfg.Requests = true, 400
+		cfgs = append(cfgs, cfg)
 	}
 	return cfgs
 }
 
 // TestColocatedDeterminism extends the seed contract to the two-VM
-// path: two RunColocated calls with the same configuration must agree
-// on both VMs' results, bit for bit.
+// path: two runs of the same ColocatedPair configuration must agree on
+// both VMs' results, bit for bit.
 func TestColocatedDeterminism(t *testing.T) {
 	for _, cc := range colocatedDeterminismCases() {
 		cc := cc
-		name := fmt.Sprintf("%s/%s+%s", cc.System, cc.WorkloadA.Name, cc.WorkloadB.Name)
+		name := fmt.Sprintf("%s/%s+%s", cc.VMs[0].System, cc.VMs[0].Workload.Name, cc.VMs[1].Workload.Name)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			a1, b1 := sim.RunColocated(cc)
-			a2, b2 := sim.RunColocated(cc)
-			if !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(b1, b2) {
-				t.Errorf("same seed, different colocated results:\n  first:  %+v / %+v\n  second: %+v / %+v",
-					a1, b1, a2, b2)
+			first := sim.NewEngine(cc).Run()
+			second := sim.NewEngine(cc).Run()
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("same seed, different colocated results:\n  first:  %+v\n  second: %+v",
+					first, second)
 			}
 		})
 	}
 }
 
-// TestRunManyDeterminism locks the engine's per-VM seed-stream
+// TestManyVMDeterminism locks the engine's per-VM seed-stream
 // contract at N=4 with the cross-layer audit enabled: four
 // heterogeneous VMs on one fragmented host must produce identical
 // per-VM results across two runs, and no invariant audit may fire.
-func TestRunManyDeterminism(t *testing.T) {
+func TestManyVMDeterminism(t *testing.T) {
 	specs := []workload.Spec{
 		workload.Masstree(), workload.Specjbb(),
 		workload.Canneal(), workload.Redis(),
@@ -176,8 +170,8 @@ func legacyResult(r sim.Result) interface{} {
 func TestGoldenColocatedSnapshot(t *testing.T) {
 	var b strings.Builder
 	for _, cc := range colocatedDeterminismCases() {
-		ra, rb := sim.RunColocated(cc)
-		fmt.Fprintf(&b, "A %+v\nB %+v\n", legacyResult(ra), legacyResult(rb))
+		rs := sim.NewEngine(cc).Run()
+		fmt.Fprintf(&b, "A %+v\nB %+v\n", legacyResult(rs[0]), legacyResult(rs[1]))
 	}
 	got := b.String()
 
@@ -211,8 +205,7 @@ func TestGoldenColocatedSnapshot(t *testing.T) {
 func TestGoldenQuickSnapshot(t *testing.T) {
 	var b strings.Builder
 	for _, cfg := range determinismCases() {
-		r := sim.Run(cfg)
-		fmt.Fprintf(&b, "%+v\n", legacyResult(r))
+		fmt.Fprintf(&b, "%+v\n", legacyResult(runOne(cfg)))
 	}
 	got := b.String()
 

@@ -27,12 +27,9 @@ func main() {
 		fmt.Printf("%-14s %10s %12s %12s %10s\n",
 			"system", "req/Mcyc", "mean(cyc)", "p99(cyc)", "aligned")
 		for _, sys := range repro.Systems() {
-			r := repro.Run(repro.Config{
-				System:     sys,
-				Workload:   spec,
-				Fragmented: true,
-				Seed:       7,
-			})
+			cfg := repro.SingleVM(sys, spec)
+			cfg.Fragmented, cfg.Seed = true, 7
+			r := repro.NewEngine(cfg).Run()[0]
 			fmt.Printf("%-14s %10.1f %12.0f %12.0f %9.0f%%\n",
 				r.System, r.Throughput, r.MeanLatency, r.P99Latency, r.AlignedRate*100)
 		}

@@ -20,12 +20,9 @@ func main() {
 
 	var thp, gem repro.Result
 	for _, sys := range []repro.System{repro.THP, repro.Gemini} {
-		r := repro.Run(repro.Config{
-			System:     sys,
-			Workload:   spec,
-			Fragmented: true,
-			Seed:       1,
-		})
+		cfg := repro.SingleVM(sys, spec)
+		cfg.Fragmented, cfg.Seed = true, 1
+		r := repro.NewEngine(cfg).Run()[0]
 		fmt.Printf("%-12s throughput=%6.1f req/Mcycle  TLB misses=%6.1f/kaccess  well-aligned=%3.0f%%\n",
 			r.System, r.Throughput, r.TLBMissesPerKAccess, r.AlignedRate*100)
 		if sys == repro.THP {

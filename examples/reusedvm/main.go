@@ -25,13 +25,10 @@ func main() {
 	for _, sys := range []repro.System{
 		repro.HostBVMB, repro.THP, repro.Ingens, repro.Gemini, repro.GeminiNoBucket,
 	} {
-		r := repro.Run(repro.Config{
-			System:     sys,
-			Workload:   spec,
-			Fragmented: true,
-			ReusedVM:   true,
-			Seed:       11,
-		})
+		cfg := repro.SingleVM(sys, spec)
+		cfg.VMs[0].ReusedVM = true
+		cfg.Fragmented, cfg.Seed = true, 11
+		r := repro.NewEngine(cfg).Run()[0]
 		reuse := "-"
 		if r.BucketReuseRate > 0 {
 			reuse = fmt.Sprintf("%.0f%%", r.BucketReuseRate*100)

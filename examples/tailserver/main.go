@@ -13,6 +13,11 @@ import (
 )
 
 func main() {
+	run := func(sys repro.System, spec repro.WorkloadSpec) repro.Result {
+		cfg := repro.SingleVM(sys, spec)
+		cfg.Fragmented, cfg.Seed = true, 3
+		return repro.NewEngine(cfg).Run()[0]
+	}
 	for _, name := range []string{"img-dnn", "specjbb"} {
 		spec, err := repro.WorkloadByName(name)
 		if err != nil {
@@ -25,12 +30,7 @@ func main() {
 		fmt.Printf("%-14s %12s %12s %12s %10s\n",
 			"system", "mean(cyc)", "p99(cyc)", "tlbm/kacc", "CoW-prone")
 		for _, sys := range repro.Systems() {
-			r := repro.Run(repro.Config{
-				System:     sys,
-				Workload:   spec,
-				Fragmented: true,
-				Seed:       3,
-			})
+			r := run(sys, spec)
 			if sys == repro.HostBVMB {
 				base = r
 			}
@@ -41,9 +41,7 @@ func main() {
 			fmt.Printf("%-14s %12.0f %12.0f %12.1f %10s\n",
 				r.System, r.MeanLatency, r.P99Latency, r.TLBMissesPerKAccess, cow)
 		}
-		gem := repro.Run(repro.Config{
-			System: repro.Gemini, Workload: spec, Fragmented: true, Seed: 3,
-		})
+		gem := run(repro.Gemini, spec)
 		fmt.Printf("\nGemini vs Host-B-VM-B: mean %-+3.0f%%, p99 %-+3.0f%%\n\n",
 			(gem.MeanLatency/base.MeanLatency-1)*100,
 			(gem.P99Latency/base.P99Latency-1)*100)

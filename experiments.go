@@ -31,12 +31,12 @@ type Options struct {
 	// Parallel bounds concurrent runs (default: GOMAXPROCS).
 	Parallel int
 	// DisableFastForward forces every run onto the dense tick path
-	// (sim.Config.DisableFastForward / fleet.Config.DisableFastForward).
+	// (sim.EngineConfig.DisableFastForward / fleet.Config.DisableFastForward).
 	// Results are bit-identical either way; the flag exists as an
 	// escape hatch and for cross-check tests.
 	DisableFastForward bool
 	// Audit enables the cross-layer invariant audit in every run
-	// (sim.Config.Audit): periodic full audits plus one at completion,
+	// (sim.EngineConfig.Audit): periodic full audits plus one at completion,
 	// panicking with a report on the first violation.
 	Audit bool
 	// Trace, when non-nil, attaches the flight recorder to every run
@@ -340,26 +340,34 @@ func resultGauges(v any) string {
 	return ""
 }
 
-// cellConfig builds the single-VM sim.Config for one grid cell.
-func cellConfig(o Options, j gridJob[workload.Spec]) Config {
-	return Config{
-		System: j.System, Workload: j.Unit,
-		Fragmented: j.Setting.Fragmented, ReusedVM: j.Setting.ReusedVM,
-		Requests: o.requests(), Seed: o.seed(), Audit: o.Audit,
-		DisableFastForward: o.DisableFastForward,
-		Trace:              j.Trace,
-	}
+// run executes one grid cell's engine configuration under the
+// options' run-wide settings (measured requests, seed, audit,
+// fast-forward), recording into the cell's trace shard tr (nil when
+// untraced). Every engine-backed grid cell runs through here.
+func (o Options) run(ec sim.EngineConfig, tr *trace.Recorder) []Result {
+	ec.Requests, ec.Seed, ec.Audit = o.requests(), o.seed(), o.Audit
+	ec.DisableFastForward, ec.Trace = o.DisableFastForward, tr
+	return sim.NewEngine(ec).Run()
+}
+
+// cellConfig builds the single-VM engine configuration for one grid
+// cell: the SingleVM preset in the cell's setting.
+func cellConfig(j gridJob[workload.Spec]) sim.EngineConfig {
+	ec := sim.SingleVM(j.System, j.Unit)
+	ec.Fragmented = j.Setting.Fragmented
+	ec.VMs[0].ReusedVM = j.Setting.ReusedVM
+	return ec
 }
 
 // specName labels a workload unit in grid identities.
 func specName(s workload.Spec) string { return s.Name }
 
 // runCells is the common single-VM grid body: every (workload × system
-// × setting) cell becomes one sim.Run.
+// × setting) cell becomes one single-VM engine run.
 func runCells(o Options, specs []workload.Spec, systems []System, settings []Setting) []Result {
 	return runGrid(o, specs, systems, settings, specName,
 		func(j gridJob[workload.Spec]) Result {
-			return sim.Run(cellConfig(o, j))
+			return o.run(cellConfig(j), j.Trace)[0]
 		})
 }
 
@@ -442,7 +450,7 @@ func CleanSlate(o Options) []CleanSlateRow {
 		func(j gridJob[workload.Spec]) CleanSlateRow {
 			return CleanSlateRow{
 				Fragmented: j.Setting.Fragmented,
-				Result:     sim.Run(cellConfig(o, j)),
+				Result:     o.run(cellConfig(j), j.Trace)[0],
 			}
 		})
 }
@@ -490,15 +498,10 @@ func Colocated(o Options) map[string][]ColocatedRow {
 	rows := runGrid(o, pairs, Systems(),
 		[]Setting{{Name: "fragmented", Fragmented: true}}, pairName,
 		func(j gridJob[pairSpec]) ColocatedRow {
-			a, b := o.quickSpec(j.Unit.a), o.quickSpec(j.Unit.b)
-			ra, rb := sim.RunColocated(sim.ColocatedConfig{
-				System: j.System, WorkloadA: a, WorkloadB: b,
-				Fragmented: j.Setting.Fragmented,
-				Requests:   o.requests(), Seed: o.seed(), Audit: o.Audit,
-				DisableFastForward: o.DisableFastForward,
-				Trace:              j.Trace,
-			})
-			return ColocatedRow{A: ra, B: rb}
+			ec := sim.ColocatedPair(j.System, o.quickSpec(j.Unit.a), o.quickSpec(j.Unit.b), o.seed())
+			ec.Fragmented = j.Setting.Fragmented
+			rs := o.run(ec, j.Trace)
+			return ColocatedRow{A: rs[0], B: rs[1]}
 		})
 	out := make(map[string][]ColocatedRow)
 	i := 0
@@ -546,15 +549,7 @@ func ManyVMs(o Options, n int) []ManyVMRow {
 			for i := range vms {
 				vms[i] = sim.VMConfig{System: j.System, Workload: o.quickSpec(mix[i%len(mix)])}
 			}
-			rs := sim.NewEngine(sim.EngineConfig{
-				VMs:                vms,
-				Fragmented:         j.Setting.Fragmented,
-				Requests:           o.requests(),
-				Seed:               o.seed(),
-				Audit:              o.Audit,
-				DisableFastForward: o.DisableFastForward,
-				Trace:              j.Trace,
-			}).Run()
+			rs := o.run(sim.EngineConfig{VMs: vms, Fragmented: j.Setting.Fragmented}, j.Trace)
 			return ManyVMRow{System: j.System.String(), Results: rs}
 		})
 }
@@ -597,32 +592,33 @@ type PressureRow struct {
 // huge-page coverage each system built (the THP-vs-GEMINI-vs-FHPM
 // comparison the paper never runs).
 func Pressure(o Options) []PressureRow {
-	mix := pressureMix()
 	return runGrid(o, PressureRatios(), pressureSystems(),
 		[]Setting{{Name: "overcommit"}},
 		func(r float64) string { return fmt.Sprintf("overcommit %.2fx", r) },
 		func(j gridJob[float64]) PressureRow {
-			vms := make([]sim.VMConfig, len(mix))
-			sumMB := 0
-			for i, spec := range mix {
-				spec = o.quickSpec(spec)
-				guestMB := spec.FootprintMB + spec.FootprintMB/8
-				vms[i] = sim.VMConfig{System: j.System, Workload: spec, GuestMemMB: guestMB}
-				sumMB += guestMB
-			}
-			hostMB := int(math.Ceil(float64(sumMB) / j.Unit))
-			rs := sim.NewEngine(sim.EngineConfig{
-				VMs:                vms,
-				HostMemMB:          hostMB,
-				Overcommit:         j.Unit,
-				Requests:           o.requests(),
-				Seed:               o.seed(),
-				Audit:              o.Audit,
-				DisableFastForward: o.DisableFastForward,
-				Trace:              j.Trace,
-			}).Run()
+			rs := o.run(pressureCell(o, j.System, j.Unit), j.Trace)
 			return PressureRow{System: j.System.String(), Overcommit: j.Unit, Results: rs}
 		})
+}
+
+// pressureCell builds one (system × overcommit ratio) cell of the
+// pressure sweep: the pressure mix in guests sized to footprint + 1/8,
+// on a host of the summed guest memory divided by ratio.
+func pressureCell(o Options, sys System, ratio float64) sim.EngineConfig {
+	mix := pressureMix()
+	vms := make([]sim.VMConfig, len(mix))
+	sumMB := 0
+	for i, spec := range mix {
+		spec = o.quickSpec(spec)
+		guestMB := spec.FootprintMB + spec.FootprintMB/8
+		vms[i] = sim.VMConfig{System: sys, Workload: spec, GuestMemMB: guestMB}
+		sumMB += guestMB
+	}
+	return sim.EngineConfig{
+		VMs:        vms,
+		HostMemMB:  int(math.Ceil(float64(sumMB) / ratio)),
+		Overcommit: ratio,
+	}
 }
 
 // --- formatting helpers ---

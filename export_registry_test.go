@@ -23,14 +23,10 @@ func TestRegistryCompletenessExport(t *testing.T) {
 	var cells []BenchCell
 	seen := map[string]bool{}
 	for _, s := range AllSystems() {
-		r := Run(Config{
-			System:     s,
-			Workload:   spec,
-			GuestMemMB: 128,
-			HostMemMB:  384,
-			Requests:   300,
-			Seed:       1,
-		})
+		cfg := SingleVM(s, spec)
+		cfg.VMs[0].GuestMemMB = 128
+		cfg.HostMemMB, cfg.Requests, cfg.Seed = 384, 300, 1
+		r := runOne(cfg)
 		if r.System != s.String() {
 			t.Errorf("system %s ran but reported label %q", s, r.System)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sysreg"
 )
 
 // Shape-fidelity regression locks for the DESIGN.md §4 targets. These
@@ -38,7 +39,7 @@ func TestFidelityGeminiAlignmentDominates(t *testing.T) {
 		if name == "GEMINI" {
 			continue
 		}
-		if sys, err := SystemByName(name); err == nil && sim.Def(sys).Coordinated {
+		if sys, err := SystemByName(name); err == nil && sysreg.Def(sys).Coordinated {
 			// FHPM coordinates the two layers too; the claim is about
 			// uncoordinated systems only.
 			continue

@@ -9,7 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/fleet"
-	"repro/internal/sim"
+	"repro/internal/sysreg"
 )
 
 // Re-exported fleet types. See package repro/internal/fleet for field
@@ -48,7 +48,7 @@ func FleetPolicies() []string { return fleet.PolicyNames() }
 func FleetSystems() []System {
 	systems := []System{THP}
 	for _, s := range Systems() {
-		d := sim.Def(s)
+		d := sysreg.Def(s)
 		if d.Coordinated || d.NewTranslation != nil {
 			systems = append(systems, s)
 		}

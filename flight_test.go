@@ -14,17 +14,12 @@ import (
 // tracedCfg is the fixed-seed Gemini run pinned by the trace golden:
 // small enough to run in milliseconds, fragmented so the run exercises
 // compaction, bookings, and misaligned-region repair.
-func tracedCfg(rec *TraceRecorder) sim.Config {
+func tracedCfg(rec *TraceRecorder) sim.EngineConfig {
 	spec := workload.Redis()
 	spec.FootprintMB /= 4
-	return sim.Config{
-		System:     sim.Gemini,
-		Workload:   spec,
-		Fragmented: true,
-		Requests:   400,
-		Seed:       42,
-		Trace:      rec,
-	}
+	cfg := sim.SingleVM(sim.Gemini, spec)
+	cfg.Fragmented, cfg.Requests, cfg.Seed, cfg.Trace = true, 400, 42, rec
+	return cfg
 }
 
 // TestTracedRunDeterminism extends the seed contract to the flight
@@ -33,7 +28,7 @@ func tracedCfg(rec *TraceRecorder) sim.Config {
 // or map-iteration dependence in the recorder shows up here.
 func TestTracedRunDeterminism(t *testing.T) {
 	run := func() Result {
-		return sim.Run(tracedCfg(NewTraceRecorder(TraceConfig{SampleEvery: 16})))
+		return runOne(tracedCfg(NewTraceRecorder(TraceConfig{SampleEvery: 16})))
 	}
 	a, b := run(), run()
 	if len(a.Events) == 0 || len(a.Timeline) == 0 {
@@ -92,8 +87,8 @@ func TestTracedParallelGridDeterminism(t *testing.T) {
 // the recorder must not change a single reported metric. The traced
 // and untraced runs must agree on every scalar Result field.
 func TestTraceObserverEffect(t *testing.T) {
-	plain := sim.Run(tracedCfg(nil))
-	traced := sim.Run(tracedCfg(NewTraceRecorder(TraceConfig{})))
+	plain := runOne(tracedCfg(nil))
+	traced := runOne(tracedCfg(NewTraceRecorder(TraceConfig{})))
 	if !reflect.DeepEqual(legacyResult(plain), legacyResult(traced)) {
 		t.Errorf("recorder changed the run:\n  untraced: %+v\n  traced:   %+v",
 			legacyResult(plain), legacyResult(traced))
@@ -109,7 +104,7 @@ func TestTraceObserverEffect(t *testing.T) {
 //
 // after confirming the change is intended.
 func TestGoldenTraceSnapshot(t *testing.T) {
-	r := sim.Run(tracedCfg(NewTraceRecorder(TraceConfig{SampleEvery: 16})))
+	r := runOne(tracedCfg(NewTraceRecorder(TraceConfig{SampleEvery: 16})))
 	var buf bytes.Buffer
 	if err := WriteTraceEvents(&buf, r.Events); err != nil {
 		t.Fatal(err)

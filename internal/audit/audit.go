@@ -4,7 +4,7 @@
 // coordinator) implements Auditable by recomputing its invariants from
 // scratch and reporting every discrepancy against its incremental
 // bookkeeping. The simulator runs the full audit periodically and at
-// run completion when Config.Audit is set, so an optimisation that
+// run completion when EngineConfig.Audit is set, so an optimisation that
 // corrupts state fails loudly with the layer, address, and violated
 // invariant instead of silently skewing results.
 //

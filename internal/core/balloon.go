@@ -57,10 +57,18 @@ type Balloon struct {
 // guest allocator empty deflates the balloon instead of panicking, the
 // same escape valve a real driver's OOM-notifier/shrinker path
 // provides. Without it a balloon inflated past the guest's head-room
-// would turn host pressure into a guest OOM.
+// would turn host pressure into a guest OOM. When the balloon is
+// already empty, a Gemini guest gives up its open bookings next: their
+// reserved-but-unclaimed frames are the only other free guest memory.
 func NewBalloon(vm *machine.VM) *Balloon {
 	b := &Balloon{vm: vm}
-	vm.Guest.AllocFallback = func(need uint64) bool { return b.Deflate(need) > 0 }
+	vm.Guest.AllocFallback = func(need uint64) bool {
+		if b.Deflate(need) > 0 {
+			return true
+		}
+		p, ok := vm.Guest.Policy.(*GuestPolicy)
+		return ok && p.releaseBookings(vm.Guest, need)
+	}
 	return b
 }
 

@@ -2,8 +2,8 @@ package core
 
 // Tests for the balloon driver (balloon.go, DESIGN.md §10): inflation
 // order (bucket blocks before free guest memory), host-backing
-// accounting, the guest-OOM deflate escape valve, and mutation
-// self-tests for the balloon audit.
+// accounting, the guest-OOM escape valve (deflate, then bookings), and
+// mutation self-tests for the balloon audit.
 
 import (
 	"testing"
@@ -111,6 +111,45 @@ func TestGuestFaultDeflatesBalloon(t *testing.T) {
 	}
 	if vs := vm.CheckInvariants(); len(vs) != 0 {
 		t.Fatalf("audit after fault-driven deflate: %v", vs)
+	}
+}
+
+func TestGuestOOMReleasesBookings(t *testing.T) {
+	_, vm, b, gp := balloonVM(t, Config{})
+	// Book one free huge region, then take every other free guest page.
+	// The balloon is empty, so the guest's only free memory is the
+	// booking's reserved-but-unclaimed frames, and the allocation
+	// failure hook must give them up instead of reporting failure.
+	f, err := vm.Guest.Buddy.Alloc(mem.HugeOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm.Guest.Buddy.Free(f, mem.HugeOrder)
+	hi := f / mem.PagesPerHuge
+	if _, err := vm.Guest.Buddy.Reserve(hi); err != nil {
+		t.Fatal(err)
+	}
+	gp.bookings[hi] = &booking{hugeIdx: hi, expires: ^uint64(0)}
+	for {
+		if _, err := vm.Guest.Buddy.Alloc(0); err != nil {
+			break
+		}
+	}
+	if b.Inflated() != 0 {
+		t.Fatalf("setup: balloon holds %d pages", b.Inflated())
+	}
+	if !vm.Guest.AllocFallback(1) {
+		t.Fatal("allocation-failure hook recovered nothing")
+	}
+	if len(gp.bookings) != 0 || vm.Guest.Buddy.ReservationCount() != 0 {
+		t.Fatalf("booking survived: %d bookings, %d reservations",
+			len(gp.bookings), vm.Guest.Buddy.ReservationCount())
+	}
+	if got := vm.Guest.Buddy.FreePages(); got != mem.PagesPerHuge {
+		t.Fatalf("guest free pages %d, want the booking's %d", got, mem.PagesPerHuge)
+	}
+	if vm.Guest.AllocFallback(1) {
+		t.Fatal("hook reported recovery with no balloon and no bookings left")
 	}
 }
 

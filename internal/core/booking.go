@@ -74,12 +74,7 @@ func (p *GuestPolicy) serviceBookings(L *machine.Layer) {
 	if len(p.bookings) == 0 {
 		return
 	}
-	keys := make([]uint64, 0, len(p.bookings))
-	for hi := range p.bookings {
-		keys = append(keys, hi)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, hi := range keys {
+	for _, hi := range p.bookedRegions() {
 		bk := p.bookings[hi]
 		if bk.nClaimed == mem.PagesPerHuge {
 			p.finishBooking(L, bk, true)
@@ -105,6 +100,41 @@ func (p *GuestPolicy) serviceBookings(L *machine.Layer) {
 			p.Stats.BookingsExpired++
 		}
 	}
+}
+
+// bookedRegions returns the booked huge indices in ascending order, so
+// every pass over the bookings touches the allocator in a
+// deterministic order.
+func (p *GuestPolicy) bookedRegions() []uint64 {
+	keys := make([]uint64, 0, len(p.bookings))
+	for hi := range p.bookings {
+		keys = append(keys, hi)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// releaseBookings is the guest's last resort before an out-of-memory
+// panic: it dissolves bookings, lowest region first, until at least
+// need pages have returned to the allocator, and reports whether any
+// did. Bookings hold up to a huge region of reserved-but-unclaimed
+// frames each, so under sustained balloon pressure they can pin the
+// last free guest memory; giving them up trades a future well-aligned
+// huge page for the demand fault at hand.
+func (p *GuestPolicy) releaseBookings(L *machine.Layer, need uint64) bool {
+	free0 := L.Buddy.FreePages()
+	for _, hi := range p.bookedRegions() {
+		if L.Buddy.FreePages()-free0 >= need {
+			break
+		}
+		bk := p.bookings[hi]
+		if L.Trace != nil {
+			L.Trace.Event(trace.EvBookingExpire, bk.vaBase, hi*mem.PagesPerHuge,
+				mem.HugeOrder, uint64(bk.nClaimed), "oom")
+		}
+		p.finishBooking(L, bk, false)
+	}
+	return L.Buddy.FreePages() > free0
 }
 
 // finishBooking dissolves a booking. When complete is true the region

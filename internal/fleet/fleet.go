@@ -164,7 +164,7 @@ func (c Config) Validate() error {
 	if d.HostMemMB < 1 || d.HostMemMB > 1<<20 {
 		return fmt.Errorf("fleet: host memory %d MB outside [1, 2^20]", d.HostMemMB)
 	}
-	if !sim.ValidSystem(d.System) {
+	if !sysreg.Valid(d.System) {
 		return fmt.Errorf("fleet: system %d out of range", int(d.System))
 	}
 	if _, err := PolicyByName(d.Policy); err != nil {
@@ -437,13 +437,13 @@ func (f *Fleet) arrive(ev Event) {
 
 // boot builds the machine-layer VM and its workload on host h.
 func (f *Fleet) boot(id int, fl Flavor, h *host, gen int) *liveVM {
-	gp, hp, coord := sim.BuildPolicies(f.cfg.System)
+	gp, hp, coord := sysreg.Build(f.cfg.System)
 	mvm := h.m.AddVMSetup(machine.VMSetup{
 		GuestPages:  fl.GuestPages(),
 		GuestPolicy: gp,
 		HostPolicy:  hp,
 		TLB:         tlb.DefaultConfig(),
-		Translation: sim.NewTranslation(f.cfg.System),
+		Translation: sysreg.NewTranslation(f.cfg.System),
 	})
 	if coord != nil {
 		coord.Attach(mvm)

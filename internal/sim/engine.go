@@ -8,8 +8,9 @@ package sim
 //	fragment → predecessor → warmup → settle → measure
 //
 // — differing only in how many VMs the engine hosts and how each VM is
-// configured. Run, RunColocated, and RunMany are thin wrappers that
-// translate their legacy configurations into an EngineConfig.
+// configured. EngineConfig is the one description of a run; the
+// SingleVM and ColocatedPair presets (sim.go) fill it in for the
+// paper's settings.
 //
 // Seeding contract: every VM owns disjoint RNG streams derived from
 // the engine seed S and the VM index i. The per-VM base is
@@ -22,8 +23,8 @@ package sim
 //
 // so VM 0 of an engine run consumes exactly the streams the historic
 // single-VM loop did, which is what keeps the golden snapshots
-// bit-for-bit stable across the refactor. Wrappers with older seeding
-// conventions (RunColocated) override the derived streams through the
+// bit-for-bit stable across the refactor. Settings with older seeding
+// conventions (ColocatedPair) override the derived streams through the
 // explicit seed fields on VMConfig and EngineConfig.
 
 import (
@@ -633,13 +634,4 @@ func (e *Engine) results() []Result {
 		}
 	}
 	return out
-}
-
-// RunMany runs N VMs consolidated on one host with engine defaults
-// (pristine memory, 768 MB guests, derived per-VM seed streams) and
-// returns per-VM results in VM order. For full control — fragmented
-// memory, reused VMs, custom pacing or host sizing — build an
-// EngineConfig and use NewEngine directly.
-func RunMany(vms []VMConfig) []Result {
-	return NewEngine(EngineConfig{VMs: vms}).Run()
 }

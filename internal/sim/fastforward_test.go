@@ -12,7 +12,7 @@ import (
 
 // runTraced runs one traced, streamed engine configuration and
 // returns the results plus the raw streamed event and series bytes.
-func runTraced(t *testing.T, cfg Config) (Result, []byte, []byte) {
+func runTraced(t *testing.T, cfg EngineConfig) (Result, []byte, []byte) {
 	t.Helper()
 	rec := trace.NewRecorder(trace.Config{SampleEvery: 4})
 	var events, series bytes.Buffer
@@ -20,7 +20,7 @@ func runTraced(t *testing.T, cfg Config) (Result, []byte, []byte) {
 		t.Fatal(err)
 	}
 	cfg.Trace = rec
-	r := Run(cfg)
+	r := run1(cfg)
 	return r, events.Bytes(), series.Bytes()
 }
 

@@ -78,21 +78,21 @@ func TestRegistryFigureSubset(t *testing.T) {
 		if strings.HasPrefix(s.String(), "GEMINI-") {
 			t.Errorf("ablation %s in figure list", s)
 		}
-		if !Def(s).Figure {
+		if !sysreg.Def(s).Figure {
 			t.Errorf("%s in Systems() but not marked Figure", s)
 		}
 	}
 	// Coordinated/translation flags land where expected.
-	if !Def(Gemini).Coordinated || !Def(FHPM).Coordinated {
+	if !sysreg.Def(Gemini).Coordinated || !sysreg.Def(FHPM).Coordinated {
 		t.Error("GEMINI and FHPM must be Coordinated")
 	}
-	if Def(THP).Coordinated {
+	if sysreg.Def(THP).Coordinated {
 		t.Error("THP must not be Coordinated")
 	}
-	if Def(Segmentation).NewTranslation == nil {
+	if sysreg.Def(Segmentation).NewTranslation == nil {
 		t.Error("Segmentation must replace the translation mode")
 	}
-	if Def(Gemini).NewTranslation != nil || Def(THP).NewTranslation != nil {
+	if sysreg.Def(Gemini).NewTranslation != nil || sysreg.Def(THP).NewTranslation != nil {
 		t.Error("radix systems must leave NewTranslation nil")
 	}
 }
@@ -116,18 +116,18 @@ func TestSystemByNameDidYouMean(t *testing.T) {
 func TestBuildPoliciesFreshPerCall(t *testing.T) {
 	// Each Build must return a fresh stack: shared mutable policy state
 	// across VMs would couple runs that happen to share a System value.
-	g1, h1, c1 := BuildPolicies(Gemini)
-	g2, h2, c2 := BuildPolicies(Gemini)
+	g1, h1, c1 := sysreg.Build(Gemini)
+	g2, h2, c2 := sysreg.Build(Gemini)
 	if g1 == g2 || h1 == h2 || c1 == c2 {
-		t.Error("BuildPolicies(Gemini) returned shared instances")
+		t.Error("sysreg.Build(Gemini) returned shared instances")
 	}
 	if c1 == nil {
 		t.Error("Gemini build has no coordinator")
 	}
-	if _, _, c := BuildPolicies(THP); c != nil {
+	if _, _, c := sysreg.Build(THP); c != nil {
 		t.Error("THP build has a coordinator")
 	}
-	if _, _, c := BuildPolicies(FHPM); c == nil {
+	if _, _, c := sysreg.Build(FHPM); c == nil {
 		t.Error("FHPM build has no coordinator")
 	}
 	if sysreg.NewTranslation(Segmentation) == nil {

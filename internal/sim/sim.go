@@ -4,9 +4,14 @@
 // memory, and collocated VMs (§6.5). Each run is deterministic for a
 // given seed.
 //
-// All settings execute on the unified N-VM Engine (engine.go); Run,
-// RunColocated, and RunMany translate their configurations into an
-// EngineConfig and delegate.
+// Every setting is an EngineConfig run by the unified N-VM Engine
+// (engine.go): NewEngine(cfg).Run(). Two presets build the paper's
+// settings (DESIGN.md §2): SingleVM, a 1024 MB guest on a 2560 MB host
+// measured over 6000 requests, and ColocatedPair, two 768 MB guests on
+// a 2560 MB host fragmented toward FMFI 0.9 at density 0.4 on the
+// historical consolidation seed streams. Callers adjust the returned
+// configuration (Fragmented, ReusedVM, Requests, Seed, Audit, Trace,
+// ...) before building the engine.
 //
 // See DESIGN.md §3 (per-experiment index) for which entry point backs
 // each figure and DESIGN.md §5 for the determinism contract.
@@ -30,10 +35,6 @@ import (
 // package only pins handles for the systems its tests and callers
 // reference by identifier.
 type System = sysreg.System
-
-// SystemDef describes one registered system; new systems register one
-// from their own package (see sysreg.Register) and need no edits here.
-type SystemDef = sysreg.SystemDef
 
 // Registered system handles, in registry rank order. These resolve
 // after every imported package's registrations have run, so they are
@@ -84,145 +85,46 @@ func AllSystems() []System { return sysreg.All() }
 // listing every valid name.
 func SystemByName(name string) (System, error) { return sysreg.ByName(name) }
 
-// Def returns a registered system's definition (for metadata such as
-// Coordinated). Panics on out-of-range systems; gate with ValidSystem.
-func Def(sys System) SystemDef { return sysreg.Def(sys) }
-
-// Config describes one experiment run.
-type Config struct {
-	// System selects the page management system under test.
-	System System
-	// Workload selects the application model.
-	Workload workload.Spec
-	// Fragmented pre-fragments guest and host memory (§6.1).
-	Fragmented bool
-	// FragTarget is the FMFI the fragmenter drives toward
-	// (default 0.9).
-	FragTarget float64
-	// ReusedVM runs the SVM predecessor to completion first (§6.3).
-	ReusedVM bool
-	// GuestMemMB and HostMemMB size the memories
-	// (defaults 1024 and 2560).
-	GuestMemMB int
-	HostMemMB  int
-	// Requests is the measured request count (default 6000).
-	Requests int
-	// RequestsPerTick paces the background daemons (default 64).
-	RequestsPerTick int
-	// WarmupRequests run before measurement (default Requests/4).
-	WarmupRequests int
-	// RecoverEveryTicks paces fragmentation recovery: one huge region
-	// per layer returns every N ticks (default 12). Recovery far
-	// below footprint keeps huge-page supply scarce for the whole
-	// run, as the paper's fragmented setting does.
-	RecoverEveryTicks int
-	// Audit runs the full cross-layer invariant audit every AuditEvery
-	// daemon ticks and at run completion, panicking with a report on
-	// the first violation.
-	Audit bool
-	// AuditEvery paces the periodic audit (default 32 ticks).
-	AuditEvery int
-	// Seed drives all randomness.
-	Seed int64
-	// Overcommit arms the memory-elasticity tier (DESIGN.md §10), as
-	// in EngineConfig.Overcommit: 0 disables it (guest memory must fit
-	// in host memory), ≥ 1 relaxes admission to guest ≤ host ×
-	// Overcommit and arms the swap tier and balloon driver.
-	Overcommit float64
-	// PressurePolicy names the armed swap tier's victim selector (""
-	// selects the default); requires Overcommit ≥ 1.
-	PressurePolicy string
-	// DisableFastForward forces dense daemon ticking in the settle
-	// windows instead of event-driven fast-forward. Results are
-	// bit-identical either way (fast-forward only jumps over ticks
-	// every layer proves are no-ops); the switch exists as an escape
-	// hatch and for the dense-vs-fast-forward cross-check tests. See
-	// DESIGN.md §7.4.
-	DisableFastForward bool
-	// Trace, when non-nil, records this run's flight-recorder data:
-	// structured events from every layer and periodic gauge samples.
-	// The run fills Result.Timeline and Result.Events from it. Leave
-	// nil (the default) for zero-overhead untraced runs. A recorder
-	// must not be shared by concurrent runs directly; give each run a
-	// private shard (trace.Recorder.Shard) and merge after they all
-	// finish, as the experiment grid does.
-	Trace *trace.Recorder
+// SingleVM returns the paper's single-VM setting (§6.2/§6.3,
+// DESIGN.md §2): one 1024 MB guest running spec under sys on a 2560 MB
+// host, measured over 6000 requests. Every other field takes the
+// engine default: as many warmup requests as measured ones, 64 requests
+// per daemon tick, fragmentation toward FMFI 0.96, recovery every tick,
+// audits every 32 ticks. Set Fragmented, VMs[0].ReusedVM, Requests,
+// Seed, Audit, Trace and the like on the result.
+func SingleVM(sys System, spec workload.Spec) EngineConfig {
+	return EngineConfig{
+		VMs:       []VMConfig{{System: sys, Workload: spec, GuestMemMB: 1024}},
+		HostMemMB: 2560,
+		Requests:  6000,
+	}
 }
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.GuestMemMB == 0 {
-		c.GuestMemMB = 1024
+// ColocatedPair returns the paper's consolidation setting (§6.5,
+// DESIGN.md §2): workloads a and b in two 768 MB guests under sys on a
+// 2560 MB host, measured over 4000 requests. When Fragmented, the host
+// and both guests fragment toward FMFI 0.9 at density 0.4. The seed
+// streams are the historical consolidation ones rather than the
+// engine's derived streams: the host and guest fragmenters draw from
+// seed+11, +12 and +13, the workloads from seed+21 and +22. These are
+// fixed when the preset is built, so changing Seed afterwards moves
+// only the predecessor streams.
+func ColocatedPair(sys System, a, b workload.Spec, seed int64) EngineConfig {
+	const target, density = 0.9, 0.4
+	vm := func(spec workload.Spec, workloadSeed, fragSeed int64) VMConfig {
+		return VMConfig{
+			System: sys, Workload: spec, GuestMemMB: 768, WorkloadSeed: workloadSeed,
+			GuestFrag: &FragSpec{Seed: fragSeed, Target: target, Density: density},
+		}
 	}
-	if c.HostMemMB == 0 {
-		c.HostMemMB = 2560
+	return EngineConfig{
+		VMs:        []VMConfig{vm(a, seed+21, seed+12), vm(b, seed+22, seed+13)},
+		HostMemMB:  2560,
+		FragTarget: target,
+		HostFrag:   &FragSpec{Seed: seed + 11, Target: target, Density: density},
+		Requests:   4000,
+		Seed:       seed,
 	}
-	if c.Requests == 0 {
-		c.Requests = 6000
-	}
-	if c.RequestsPerTick == 0 {
-		c.RequestsPerTick = 64
-	}
-	if c.WarmupRequests == 0 {
-		c.WarmupRequests = c.Requests
-	}
-	if c.FragTarget == 0 {
-		c.FragTarget = 0.96
-	}
-	if c.RecoverEveryTicks == 0 {
-		c.RecoverEveryTicks = 1
-	}
-	if c.AuditEvery == 0 {
-		c.AuditEvery = 32
-	}
-	return c
-}
-
-// Validate reports whether the configuration describes a runnable
-// experiment. Run panics on an invalid configuration; callers wanting
-// an error instead should Validate first.
-func (c Config) Validate() error {
-	if !sysreg.Valid(c.System) {
-		return fmt.Errorf("sim: System %d out of range [0,%d)", int(c.System), sysreg.Count())
-	}
-	if c.Requests < 0 || c.WarmupRequests < 0 || c.RequestsPerTick < 0 ||
-		c.RecoverEveryTicks < 0 || c.AuditEvery < 0 {
-		return fmt.Errorf("sim: negative pacing parameter in %+v", c)
-	}
-	if c.GuestMemMB < 0 || c.HostMemMB < 0 {
-		return fmt.Errorf("sim: negative memory size (guest %d MB, host %d MB)",
-			c.GuestMemMB, c.HostMemMB)
-	}
-	if c.FragTarget < 0 || c.FragTarget >= 1 {
-		return fmt.Errorf("sim: FragTarget %v outside [0,1)", c.FragTarget)
-	}
-	if c.Overcommit != 0 && c.Overcommit < 1 {
-		return fmt.Errorf("sim: Overcommit %v must be 0 (disabled) or ≥ 1", c.Overcommit)
-	}
-	if c.PressurePolicy != "" && c.Overcommit == 0 {
-		return fmt.Errorf("sim: PressurePolicy %q set but Overcommit is zero (elasticity disabled)",
-			c.PressurePolicy)
-	}
-	if c.PressurePolicy != "" && !machine.ValidPressurePolicy(c.PressurePolicy) {
-		return fmt.Errorf("sim: unknown pressure policy %q", c.PressurePolicy)
-	}
-	d := c.withDefaults()
-	limitMB := float64(d.HostMemMB)
-	if d.Overcommit >= 1 {
-		limitMB *= d.Overcommit
-	}
-	if float64(d.GuestMemMB) > limitMB {
-		return fmt.Errorf("sim: guest memory %d MB exceeds host memory %d MB (overcommit %v)",
-			d.GuestMemMB, d.HostMemMB, d.Overcommit)
-	}
-	if c.Workload.Name == "" {
-		return fmt.Errorf("sim: workload has no name")
-	}
-	if c.Workload.FootprintMB <= 0 || c.Workload.RequestPages <= 0 {
-		return fmt.Errorf("sim: workload %q needs a positive footprint and request size",
-			c.Workload.Name)
-	}
-	return nil
 }
 
 // Result reports one run.
@@ -275,71 +177,15 @@ type Result struct {
 	Ticks uint64
 
 	// Timeline and Events carry the flight-recorder data when the run
-	// was traced (Config.Trace / EngineConfig.Trace); both are nil for
-	// untraced runs. Timeline is the decimated gauge series (one row
-	// per sampled tick per scope, host rows VM == -1); Events is the
+	// was traced (EngineConfig.Trace); both are nil for untraced runs.
+	// Timeline is the decimated gauge series (one row per sampled tick
+	// per scope, host rows VM == -1); Events is the
 	// retained structured event stream in tick order. Both reflect
 	// everything in the run's recorder: a run recording into a private
 	// shard sees only its own data, while runs appending sequentially
 	// to one shared recorder see everything recorded so far.
 	Timeline []trace.Sample
 	Events   []trace.Event
-}
-
-// BuildPolicies constructs the per-layer policies for a system: the
-// guest-layer policy, the host (EPT) layer policy, and the system's
-// coordinator (nil for uncoordinated systems; when non-nil the caller
-// must Attach it to the VM after AddVM). The fleet layer uses this to
-// stand up per-system policy stacks for VMs it places on hosts outside
-// an Engine. Panics on an out-of-range system; gate with ValidSystem.
-func BuildPolicies(sys System) (guest, host machine.Policy, coord sysreg.Coordinator) {
-	return sysreg.Build(sys)
-}
-
-// NewTranslation constructs the system's translation mode (nil selects
-// the machine layer's default nested radix walk).
-func NewTranslation(sys System) machine.TranslationMode {
-	return sysreg.NewTranslation(sys)
-}
-
-// ValidSystem reports whether sys names a system under test.
-func ValidSystem(sys System) bool { return sysreg.Valid(sys) }
-
-// engineConfig translates a single-VM Config into its EngineConfig.
-// VM 0's derived seed streams coincide with the historic single-VM
-// streams, so no overrides are needed.
-func (c Config) engineConfig() EngineConfig {
-	return EngineConfig{
-		VMs: []VMConfig{{
-			System:     c.System,
-			Workload:   c.Workload,
-			GuestMemMB: c.GuestMemMB,
-			ReusedVM:   c.ReusedVM,
-		}},
-		HostMemMB:          c.HostMemMB,
-		Fragmented:         c.Fragmented,
-		FragTarget:         c.FragTarget,
-		Requests:           c.Requests,
-		RequestsPerTick:    c.RequestsPerTick,
-		WarmupRequests:     c.WarmupRequests,
-		RecoverEveryTicks:  c.RecoverEveryTicks,
-		Audit:              c.Audit,
-		AuditEvery:         c.AuditEvery,
-		Seed:               c.Seed,
-		Overcommit:         c.Overcommit,
-		PressurePolicy:     c.PressurePolicy,
-		DisableFastForward: c.DisableFastForward,
-		Trace:              c.Trace,
-	}
-}
-
-// Run executes one experiment on a one-VM engine. It panics when cfg
-// fails Validate.
-func Run(cfg Config) Result {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return NewEngine(cfg.withDefaults().engineConfig()).Run()[0]
 }
 
 // recovery advances the daemons and lets fragmented memory recover
@@ -353,7 +199,7 @@ type recovery struct {
 	ticks       int
 
 	// auditors, when set, undergo a full invariant audit every
-	// auditEvery ticks (Config.Audit).
+	// auditEvery ticks (EngineConfig.Audit).
 	auditors   []audit.Auditable
 	auditEvery int
 
@@ -458,133 +304,4 @@ func (r *recovery) audit() {
 	if vs := audit.Run(r.auditors...); len(vs) != 0 {
 		panic("sim: audit after tick " + fmt.Sprint(r.ticks) + ": " + audit.Report(vs))
 	}
-}
-
-// ColocatedConfig describes the §6.5 setting: two VMs on one host.
-// Its defaults deliberately differ from Config's single-VM defaults —
-// smaller guests (768 MB), fewer requests (4000), and a softer
-// fragmentation target (0.9 at density 0.4) — matching the paper's
-// consolidation runs; see DESIGN.md §2.
-type ColocatedConfig struct {
-	System     System
-	WorkloadA  workload.Spec
-	WorkloadB  workload.Spec
-	Fragmented bool
-	// FragTarget is the FMFI the fragmenters drive toward
-	// (default 0.9 in the consolidated setting).
-	FragTarget float64
-	GuestMemMB int
-	HostMemMB  int
-	Requests   int
-	// RequestsPerTick paces the background daemons (default 64), as
-	// in Config.RequestsPerTick.
-	RequestsPerTick int
-	// RecoverEveryTicks paces fragmentation recovery (default 1), as
-	// in Config.RecoverEveryTicks.
-	RecoverEveryTicks int
-	// Audit enables the periodic and completion invariant audit, as
-	// in Config.Audit (every AuditEvery ticks, default 32).
-	Audit      bool
-	AuditEvery int
-	Seed       int64
-	// DisableFastForward forces dense settle ticking, as in
-	// Config.DisableFastForward.
-	DisableFastForward bool
-	// Trace, when non-nil, records the run's flight-recorder data, as
-	// in Config.Trace.
-	Trace *trace.Recorder
-}
-
-// base folds the colocated-specific default values into a single-VM
-// Config and routes it through the shared withDefaults path, so the
-// two settings cannot drift on shared knobs again.
-func (cc ColocatedConfig) base() Config {
-	c := Config{
-		System: cc.System, Workload: cc.WorkloadA, Fragmented: cc.Fragmented,
-		FragTarget: cc.FragTarget, GuestMemMB: cc.GuestMemMB, HostMemMB: cc.HostMemMB,
-		Requests: cc.Requests, RequestsPerTick: cc.RequestsPerTick,
-		RecoverEveryTicks: cc.RecoverEveryTicks,
-		Audit:             cc.Audit, AuditEvery: cc.AuditEvery, Seed: cc.Seed,
-		DisableFastForward: cc.DisableFastForward,
-	}
-	// Deliberate consolidation-setting defaults (DESIGN.md §2).
-	if c.GuestMemMB == 0 {
-		c.GuestMemMB = 768
-	}
-	if c.Requests == 0 {
-		c.Requests = 4000
-	}
-	if c.FragTarget == 0 {
-		c.FragTarget = 0.9
-	}
-	return c.withDefaults()
-}
-
-// Validate reports whether the collocated configuration is runnable.
-func (cc ColocatedConfig) Validate() error {
-	single := cc.base()
-	single.Workload = cc.WorkloadA
-	if err := single.Validate(); err != nil {
-		return err
-	}
-	single.Workload = cc.WorkloadB
-	if err := single.Validate(); err != nil {
-		return err
-	}
-	return cc.engineConfig().Validate()
-}
-
-// colocatedFragDensity is the retained-population density of the
-// consolidation fragmenters (the historical §6.5 setting).
-const colocatedFragDensity = 0.4
-
-// engineConfig translates a ColocatedConfig into its two-VM
-// EngineConfig, overriding the engine's derived seed streams with the
-// historical colocated streams (host/guestA/guestB fragmenters at
-// Seed+11/+12/+13, workloads at Seed+21/+22).
-func (cc ColocatedConfig) engineConfig() EngineConfig {
-	base := cc.base()
-	vm := func(spec workload.Spec, workloadSeed, fragSeed int64) VMConfig {
-		return VMConfig{
-			System:       cc.System,
-			Workload:     spec,
-			GuestMemMB:   base.GuestMemMB,
-			WorkloadSeed: workloadSeed,
-			GuestFrag: &FragSpec{
-				Seed: fragSeed, Target: base.FragTarget, Density: colocatedFragDensity,
-			},
-		}
-	}
-	return EngineConfig{
-		VMs: []VMConfig{
-			vm(cc.WorkloadA, cc.Seed+21, cc.Seed+12),
-			vm(cc.WorkloadB, cc.Seed+22, cc.Seed+13),
-		},
-		HostMemMB:  base.HostMemMB,
-		Fragmented: cc.Fragmented,
-		FragTarget: base.FragTarget,
-		HostFrag: &FragSpec{
-			Seed: cc.Seed + 11, Target: base.FragTarget, Density: colocatedFragDensity,
-		},
-		Requests:           base.Requests,
-		RequestsPerTick:    base.RequestsPerTick,
-		WarmupRequests:     base.WarmupRequests,
-		RecoverEveryTicks:  base.RecoverEveryTicks,
-		Audit:              cc.Audit,
-		AuditEvery:         base.AuditEvery,
-		Seed:               cc.Seed,
-		DisableFastForward: cc.DisableFastForward,
-		Trace:              cc.Trace,
-	}
-}
-
-// RunColocated runs two VMs side by side on one engine, interleaving
-// their request streams, and returns per-VM results. It panics when
-// cc fails Validate.
-func RunColocated(cc ColocatedConfig) (Result, Result) {
-	if err := cc.Validate(); err != nil {
-		panic(err)
-	}
-	rs := NewEngine(cc.engineConfig()).Run()
-	return rs[0], rs[1]
 }

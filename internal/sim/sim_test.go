@@ -7,18 +7,19 @@ import (
 	"repro/internal/workload"
 )
 
-// smallCfg returns a fast configuration for tests.
-func smallCfg(sys System, spec workload.Spec) Config {
+// smallCfg returns a fast single-VM configuration for tests.
+func smallCfg(sys System, spec workload.Spec) EngineConfig {
 	spec.FootprintMB = 64
-	return Config{
-		System:     sys,
-		Workload:   spec,
-		GuestMemMB: 256,
-		HostMemMB:  640,
-		Requests:   800,
-		Seed:       7,
-	}
+	cfg := SingleVM(sys, spec)
+	cfg.VMs[0].GuestMemMB = 256
+	cfg.HostMemMB = 640
+	cfg.Requests = 800
+	cfg.Seed = 7
+	return cfg
 }
+
+// run1 runs a one-VM configuration and returns its only result.
+func run1(cfg EngineConfig) Result { return NewEngine(cfg).Run()[0] }
 
 func TestSystemNames(t *testing.T) {
 	for _, s := range AllSystems() {
@@ -43,7 +44,7 @@ func TestSystemNames(t *testing.T) {
 }
 
 func TestRunBasics(t *testing.T) {
-	r := Run(smallCfg(HostBVMB, workload.Masstree()))
+	r := run1(smallCfg(HostBVMB, workload.Masstree()))
 	if r.System != "Host-B-VM-B" || r.Workload != "masstree" {
 		t.Fatalf("labels: %+v", r)
 	}
@@ -56,16 +57,16 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := Run(smallCfg(Gemini, workload.Masstree()))
-	b := Run(smallCfg(Gemini, workload.Masstree()))
+	a := run1(smallCfg(Gemini, workload.Masstree()))
+	b := run1(smallCfg(Gemini, workload.Masstree()))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("non-deterministic:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestGeminiBeatsBaseUnfragmented(t *testing.T) {
-	base := Run(smallCfg(HostBVMB, workload.Masstree()))
-	gem := Run(smallCfg(Gemini, workload.Masstree()))
+	base := run1(smallCfg(HostBVMB, workload.Masstree()))
+	gem := run1(smallCfg(Gemini, workload.Masstree()))
 	if gem.Throughput <= base.Throughput {
 		t.Fatalf("Gemini %.2f <= base %.2f", gem.Throughput, base.Throughput)
 	}
@@ -81,11 +82,11 @@ func TestGeminiBeatsBaseUnfragmented(t *testing.T) {
 func TestFragmentedOrdering(t *testing.T) {
 	cfg := smallCfg(Gemini, workload.Masstree())
 	cfg.Fragmented = true
-	gem := Run(cfg)
-	cfg.System = THP
-	thp := Run(cfg)
-	cfg.System = HostBVMB
-	base := Run(cfg)
+	gem := run1(cfg)
+	cfg.VMs[0].System = THP
+	thp := run1(cfg)
+	cfg.VMs[0].System = HostBVMB
+	base := run1(cfg)
 	if gem.AlignedRate <= thp.AlignedRate {
 		t.Fatalf("fragmented: Gemini aligned %.2f <= THP %.2f",
 			gem.AlignedRate, thp.AlignedRate)
@@ -98,8 +99,8 @@ func TestFragmentedOrdering(t *testing.T) {
 
 func TestReusedVMGeminiBucket(t *testing.T) {
 	cfg := smallCfg(Gemini, workload.Xapian())
-	cfg.ReusedVM = true
-	r := Run(cfg)
+	cfg.VMs[0].ReusedVM = true
+	r := run1(cfg)
 	if r.BucketReuseRate <= 0 {
 		t.Fatalf("no bucket reuse in reused VM: %+v", r)
 	}
@@ -115,10 +116,10 @@ func TestNonTLBSensitiveOverheadSmall(t *testing.T) {
 	// Shore keeps its own (intentionally small, TLB-resident)
 	// footprint: smallCfg's override would re-create TLB pressure.
 	cfg := smallCfg(HostBVMB, workload.Shore())
-	cfg.Workload = workload.Shore()
-	base := Run(cfg)
-	cfg.System = Gemini
-	gem := Run(cfg)
+	cfg.VMs[0].Workload = workload.Shore()
+	base := run1(cfg)
+	cfg.VMs[0].System = Gemini
+	gem := run1(cfg)
 	ratio := gem.Throughput / base.Throughput
 	if ratio < 0.9 || ratio > 1.15 {
 		t.Fatalf("shore ratio = %.3f, want ~1 (overhead must be negligible)", ratio)
@@ -127,28 +128,26 @@ func TestNonTLBSensitiveOverheadSmall(t *testing.T) {
 
 func TestAblationsRun(t *testing.T) {
 	for _, sys := range []System{GeminiNoBucket, GeminiBucketOnly, GeminiStaticTimeout, GeminiNoPrealloc} {
-		r := Run(smallCfg(sys, workload.Memcached()))
+		r := run1(smallCfg(sys, workload.Memcached()))
 		if r.Throughput <= 0 {
 			t.Fatalf("%v: %+v", sys, r)
 		}
 	}
 }
 
-func TestRunColocated(t *testing.T) {
-	a, b := RunColocated(ColocatedConfig{
-		System:     Gemini,
-		WorkloadA:  func() workload.Spec { s := workload.Masstree(); s.FootprintMB = 64; return s }(),
-		WorkloadB:  func() workload.Spec { s := workload.Shore(); s.FootprintMB = 32; return s }(),
-		GuestMemMB: 256,
-		HostMemMB:  1024,
-		Requests:   600,
-		Seed:       3,
-	})
-	if a.Throughput <= 0 || b.Throughput <= 0 {
-		t.Fatalf("colocated: %+v / %+v", a, b)
+func TestColocatedPairRun(t *testing.T) {
+	a, b := workload.Masstree(), workload.Shore()
+	a.FootprintMB, b.FootprintMB = 64, 32
+	cfg := ColocatedPair(Gemini, a, b, 3)
+	cfg.VMs[0].GuestMemMB, cfg.VMs[1].GuestMemMB = 256, 256
+	cfg.HostMemMB = 1024
+	cfg.Requests = 600
+	rs := NewEngine(cfg).Run()
+	if rs[0].Throughput <= 0 || rs[1].Throughput <= 0 {
+		t.Fatalf("colocated: %+v / %+v", rs[0], rs[1])
 	}
-	if a.Workload != "masstree" || b.Workload != "shore" {
-		t.Fatalf("labels: %q %q", a.Workload, b.Workload)
+	if rs[0].Workload != "masstree" || rs[1].Workload != "shore" {
+		t.Fatalf("labels: %q %q", rs[0].Workload, rs[1].Workload)
 	}
 }
 

@@ -8,42 +8,62 @@ import (
 	"repro/internal/workload"
 )
 
-func validConfig() Config {
-	return Config{System: Gemini, Workload: workload.Redis()}
+func validConfig() EngineConfig { return SingleVM(Gemini, workload.Redis()) }
+
+func validPair() EngineConfig {
+	return ColocatedPair(Gemini, workload.Redis(), workload.Shore(), 0)
 }
 
 func TestConfigValidateAcceptsDefaults(t *testing.T) {
 	if err := validConfig().Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+		t.Fatalf("valid single-VM config rejected: %v", err)
+	}
+	if err := validPair().Validate(); err != nil {
+		t.Fatalf("valid colocated config rejected: %v", err)
 	}
 }
 
+// TestConfigValidateRejections is the EngineConfig validation table.
+// Each case mutates one preset, single-VM or colocated, into a
+// configuration Validate must reject with an error naming the problem.
 func TestConfigValidateRejections(t *testing.T) {
 	cases := []struct {
 		name    string
-		mutate  func(*Config)
+		preset  func() EngineConfig
+		mutate  func(*EngineConfig)
 		wantSub string
 	}{
-		{"system-negative", func(c *Config) { c.System = -1 }, "out of range"},
-		{"system-past-end", func(c *Config) { c.System = System(sysreg.Count()) }, "out of range"},
-		{"negative-requests", func(c *Config) { c.Requests = -1 }, "negative pacing"},
-		{"negative-warmup", func(c *Config) { c.WarmupRequests = -5 }, "negative pacing"},
-		{"negative-requests-per-tick", func(c *Config) { c.RequestsPerTick = -2 }, "negative pacing"},
-		{"negative-recover-ticks", func(c *Config) { c.RecoverEveryTicks = -1 }, "negative pacing"},
-		{"negative-audit-every", func(c *Config) { c.AuditEvery = -8 }, "negative pacing"},
-		{"negative-guest-mem", func(c *Config) { c.GuestMemMB = -1 }, "negative memory"},
-		{"negative-host-mem", func(c *Config) { c.HostMemMB = -1 }, "negative memory"},
-		{"frag-target-negative", func(c *Config) { c.FragTarget = -0.1 }, "FragTarget"},
-		{"frag-target-one", func(c *Config) { c.FragTarget = 1.0 }, "FragTarget"},
-		{"guest-exceeds-host", func(c *Config) { c.GuestMemMB = 4096; c.HostMemMB = 1024 },
-			"exceeds host"},
-		{"unnamed-workload", func(c *Config) { c.Workload = workload.Spec{} }, "no name"},
-		{"zero-footprint", func(c *Config) { c.Workload.FootprintMB = 0 }, "positive footprint"},
-		{"zero-request-pages", func(c *Config) { c.Workload.RequestPages = 0 }, "positive footprint"},
+		{"system-negative", validConfig, func(c *EngineConfig) { c.VMs[0].System = -1 }, "out of range"},
+		{"system-past-end", validConfig, func(c *EngineConfig) { c.VMs[0].System = System(sysreg.Count()) },
+			"out of range"},
+		{"negative-requests", validConfig, func(c *EngineConfig) { c.Requests = -1 }, "negative pacing"},
+		{"negative-warmup", validConfig, func(c *EngineConfig) { c.WarmupRequests = -5 }, "negative pacing"},
+		{"negative-requests-per-tick", validConfig, func(c *EngineConfig) { c.RequestsPerTick = -2 },
+			"negative pacing"},
+		{"negative-recover-ticks", validConfig, func(c *EngineConfig) { c.RecoverEveryTicks = -1 },
+			"negative pacing"},
+		{"negative-audit-every", validConfig, func(c *EngineConfig) { c.AuditEvery = -8 }, "negative pacing"},
+		{"negative-guest-mem", validConfig, func(c *EngineConfig) { c.VMs[0].GuestMemMB = -1 }, "negative memory"},
+		{"negative-host-mem", validConfig, func(c *EngineConfig) { c.HostMemMB = -1 }, "negative memory"},
+		{"frag-target-negative", validConfig, func(c *EngineConfig) { c.FragTarget = -0.1 }, "FragTarget"},
+		{"frag-target-one", validConfig, func(c *EngineConfig) { c.FragTarget = 1.0 }, "FragTarget"},
+		{"guest-exceeds-host", validConfig,
+			func(c *EngineConfig) { c.VMs[0].GuestMemMB = 4096; c.HostMemMB = 1024 }, "exceeds host"},
+		{"unnamed-workload", validConfig, func(c *EngineConfig) { c.VMs[0].Workload = workload.Spec{} }, "no name"},
+		{"zero-footprint", validConfig, func(c *EngineConfig) { c.VMs[0].Workload.FootprintMB = 0 },
+			"positive footprint"},
+		{"zero-request-pages", validConfig, func(c *EngineConfig) { c.VMs[0].Workload.RequestPages = 0 },
+			"positive footprint"},
+		{"colocated-unnamed-workload-b", validPair, func(c *EngineConfig) { c.VMs[1].Workload = workload.Spec{} },
+			"no name"},
+		{"colocated-system-past-end", validPair, func(c *EngineConfig) {
+			c.VMs[0].System = System(sysreg.Count())
+			c.VMs[1].System = System(sysreg.Count())
+		}, "out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := validConfig()
+			cfg := tc.preset()
 			tc.mutate(&cfg)
 			err := cfg.Validate()
 			if err == nil {
@@ -56,34 +76,16 @@ func TestConfigValidateRejections(t *testing.T) {
 	}
 }
 
-func TestColocatedConfigValidate(t *testing.T) {
-	cc := ColocatedConfig{
-		System: Gemini, WorkloadA: workload.Redis(), WorkloadB: workload.Shore(),
-	}
-	if err := cc.Validate(); err != nil {
-		t.Fatalf("valid colocated config rejected: %v", err)
-	}
-	bad := cc
-	bad.WorkloadB = workload.Spec{}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted a colocated config with an unnamed workload B")
-	}
-	bad = cc
-	bad.System = System(sysreg.Count())
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted an out-of-range system")
-	}
-}
-
-// TestRunPanicsOnInvalidConfig locks the Run entry point's contract:
-// invalid configurations fail loudly instead of running with garbage.
-func TestRunPanicsOnInvalidConfig(t *testing.T) {
+// TestNewEnginePanicsOnInvalidConfig locks the engine entry point's
+// contract: invalid configurations fail loudly instead of running with
+// garbage.
+func TestNewEnginePanicsOnInvalidConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Run did not panic on an invalid config")
+			t.Fatal("NewEngine did not panic on an invalid config")
 		}
 	}()
 	cfg := validConfig()
-	cfg.System = -3
-	Run(cfg)
+	cfg.VMs[0].System = -3
+	NewEngine(cfg)
 }

@@ -160,3 +160,19 @@ func TestOvercommitValidation(t *testing.T) {
 		t.Error("unknown pressure policy accepted")
 	}
 }
+
+// TestPressureSeed4GeminiCompletes is the regression test for a guest
+// out-of-memory panic in the full-scale pressure sweep: at seed 4 the
+// GEMINI × 1.0× cell drove a guest's allocator empty while Gemini's
+// open bookings held about a hundred huge regions of reserved but
+// unclaimed frames, and with the balloon already deflated the demand
+// fault panicked. The guest now releases bookings before giving up;
+// the cell must run to completion with every invariant audit clean.
+func TestPressureSeed4GeminiCompletes(t *testing.T) {
+	o := Options{Seed: 4, Audit: true}
+	for _, r := range o.run(pressureCell(o, Gemini, 1.0), nil) {
+		if r.Throughput <= 0 {
+			t.Errorf("VM %s produced no throughput: %+v", r.Workload, r)
+		}
+	}
+}

@@ -3,7 +3,7 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/sysreg"
 )
 
 // The facade tests assert the headline shapes of the paper's
@@ -80,7 +80,7 @@ func TestMotivationShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: best system %q unknown: %v", wl, sysName, err)
 		}
-		if !sim.Def(sys).Coordinated {
+		if !sysreg.Def(sys).Coordinated {
 			t.Errorf("%s: best aligned rate belongs to uncoordinated %s", wl, sysName)
 		}
 	}
