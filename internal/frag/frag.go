@@ -7,8 +7,9 @@
 // The fragmenter works the way real-world fragmentation arises: it
 // allocates a large population of base pages, then frees a pseudo-
 // random subset, leaving free memory shattered into small blocks. The
-// retained pages are returned to the caller so they can be freed later
-// (or held for the lifetime of an experiment).
+// retained pages stay pinned until the caller releases them, region by
+// region or all at once (or holds them for the lifetime of an
+// experiment).
 //
 // See DESIGN.md §2 (system inventory, "fragmenter") and §6.2 of the
 // paper for the fragmentation methodology this models.
@@ -16,8 +17,10 @@ package frag
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
+	"repro/internal/audit"
 	"repro/internal/buddy"
 	"repro/internal/mem"
 )
@@ -47,34 +50,33 @@ func (r Report) String() string {
 }
 
 // Fragmenter fragments allocators and tracks the pages it holds so
-// they can be released — wholesale, fractionally, or region by region
-// (the pattern of real recovery: compaction and departing tenants free
-// whole huge-page-sized regions at a time).
+// they can be released — wholesale or region by region (the pattern of
+// real recovery: compaction and departing tenants free whole
+// huge-page-sized regions at a time).
 type Fragmenter struct {
-	rng  *rand.Rand
-	held []uint64 // frames pinned to keep memory fragmented
-	a    *buddy.Allocator
-	// heldIdx maps a pinned frame to its position in held, for O(1)
-	// removal.
-	heldIdx map[uint64]int
+	rng *rand.Rand
+	a   *buddy.Allocator
+	// pins has one bit per frame the fragmenter holds, a 512-bit row
+	// per huge region: no per-frame hashing on the set-up and recovery
+	// paths (DESIGN.md §7.2). held counts the set bits.
+	pins [][mem.PagesPerHuge / 64]uint64
+	held int
 	// regionOrder lists the huge regions that hold pinned pages, in
 	// the deterministic order ReleaseRegions frees them.
 	regionOrder []uint64
-	byRegion    map[uint64][]uint64
 }
 
 // New returns a fragmenter over the allocator, seeded deterministically.
 func New(a *buddy.Allocator, seed int64) *Fragmenter {
 	return &Fragmenter{
-		rng:      rand.New(rand.NewSource(seed)),
-		a:        a,
-		heldIdx:  make(map[uint64]int),
-		byRegion: make(map[uint64][]uint64),
+		rng:  rand.New(rand.NewSource(seed)),
+		a:    a,
+		pins: make([][mem.PagesPerHuge / 64]uint64, (a.TotalPages()+mem.PagesPerHuge-1)/mem.PagesPerHuge),
 	}
 }
 
 // HeldPages returns the number of frames the fragmenter is pinning.
-func (f *Fragmenter) HeldPages() int { return len(f.held) }
+func (f *Fragmenter) HeldPages() int { return f.held }
 
 // HeldRegions returns the number of huge regions with pinned pages.
 func (f *Fragmenter) HeldRegions() int { return len(f.regionOrder) }
@@ -97,33 +99,33 @@ func (f *Fragmenter) FragmentTo(target float64, maxConsumeFraction float64) floa
 		maxConsumeFraction = 1
 	}
 	budget := uint64(float64(f.a.TotalPages()) * maxConsumeFraction)
-	for f.a.FMFI(mem.HugeOrder) < target && uint64(len(f.held)) < budget {
+	for f.a.FMFI(mem.HugeOrder) < target && uint64(f.held) < budget {
 		// Take one whole huge-aligned block, then free alternating
 		// pages inside it: each freed page is a lone order-0 block
 		// that cannot merge, so the region is shattered for good
-		// while half its space stays free.
+		// while half its space stays free. The block was wholly free,
+		// so its region held no pins before.
 		start, err := f.a.Alloc(mem.HugeOrder)
 		if err != nil {
 			// No order-9 block left anywhere: FMFI is 1 by definition.
 			break
 		}
+		hi := start / mem.PagesPerHuge
+		row := &f.pins[hi]
 		for i := 0; i < mem.PagesPerHuge; i++ {
 			keep := i%2 == 0
 			if f.rng.Intn(8) == 0 {
 				keep = !keep
 			}
-			fr := start + uint64(i)
 			if keep {
-				f.heldIdx[fr] = len(f.held)
-				f.held = append(f.held, fr)
-				hi := fr / mem.PagesPerHuge
-				if len(f.byRegion[hi]) == 0 {
-					f.regionOrder = append(f.regionOrder, hi)
-				}
-				f.byRegion[hi] = append(f.byRegion[hi], fr)
+				row[i/64] |= 1 << (i % 64)
+				f.held++
 			} else {
-				f.a.Free(fr, 0)
+				f.a.Free(start+uint64(i), 0)
 			}
+		}
+		if *row != [mem.PagesPerHuge / 64]uint64{} {
+			f.regionOrder = append(f.regionOrder, hi)
 		}
 	}
 	// Shuffle the release order so recovered regions appear at
@@ -134,73 +136,66 @@ func (f *Fragmenter) FragmentTo(target float64, maxConsumeFraction float64) floa
 	return f.a.FMFI(mem.HugeOrder)
 }
 
-// ReleaseRegions frees every pinned page of up to n huge regions,
-// modelling background compaction (or a departing tenant) recovering
-// whole huge-page-sized blocks over time. Returns regions released.
+// ReleaseRegions frees every pinned page of up to n huge regions, in
+// ascending frame order within each, modelling background compaction
+// (or a departing tenant) recovering whole huge-page-sized blocks over
+// time. Returns regions released.
 func (f *Fragmenter) ReleaseRegions(n int) int {
 	released := 0
-	for released < n && len(f.regionOrder) > 0 {
+	for ; released < n && len(f.regionOrder) > 0; released++ {
 		hi := f.regionOrder[0]
 		f.regionOrder = f.regionOrder[1:]
-		for _, fr := range f.byRegion[hi] {
-			f.a.Free(fr, 0)
-			// Drop from the flat held list lazily: mark by sentinel.
-			f.unhold(fr)
+		for w, word := range f.pins[hi] {
+			for ; word != 0; word &= word - 1 {
+				f.a.Free(hi*mem.PagesPerHuge+uint64(w*64+bits.TrailingZeros64(word)), 0)
+				f.held--
+			}
 		}
-		delete(f.byRegion, hi)
-		released++
+		f.pins[hi] = [mem.PagesPerHuge / 64]uint64{}
 	}
 	return released
 }
 
-// unhold removes one frame from the flat held list in O(1).
-func (f *Fragmenter) unhold(fr uint64) {
-	i, ok := f.heldIdx[fr]
-	if !ok {
-		return
-	}
-	last := f.held[len(f.held)-1]
-	f.held[i] = last
-	f.heldIdx[last] = i
-	f.held = f.held[:len(f.held)-1]
-	delete(f.heldIdx, fr)
-}
-
 // ReleaseAll frees every pinned page, letting memory coalesce again.
-func (f *Fragmenter) ReleaseAll() {
-	for _, fr := range f.held {
-		f.a.Free(fr, 0)
-	}
-	f.held = f.held[:0]
-	f.heldIdx = make(map[uint64]int)
-	f.regionOrder = nil
-	f.byRegion = make(map[uint64][]uint64)
-}
+func (f *Fragmenter) ReleaseAll() { f.ReleaseRegions(len(f.regionOrder)) }
 
-// ReleaseFraction frees the given fraction of pinned pages (a partial
-// defragmentation, used to model workloads that free memory over time).
-func (f *Fragmenter) ReleaseFraction(fraction float64) {
-	if fraction <= 0 {
-		return
+// CheckInvariants recomputes the fragmenter's books from its pin
+// bitmaps: every pinned frame is allocated in the buddy, the held
+// counter equals the pin popcount, and regionOrder lists exactly the
+// regions holding pins, each once.
+func (f *Fragmenter) CheckInvariants() []audit.Violation {
+	var vs []audit.Violation
+	listed := make([]bool, len(f.pins))
+	for _, hi := range f.regionOrder {
+		if hi >= uint64(len(f.pins)) || listed[hi] {
+			vs = append(vs, audit.Violationf("frag", "region-order", hi,
+				"region listed twice or beyond the %d regions", len(f.pins)))
+			continue
+		}
+		listed[hi] = true
 	}
-	if fraction >= 1 {
-		f.ReleaseAll()
-		return
-	}
-	n := int(float64(len(f.held)) * fraction)
-	for i := 0; i < n; i++ {
-		// Free from a random position to avoid releasing one dense run.
-		j := f.rng.Intn(len(f.held))
-		fr := f.held[j]
-		f.a.Free(fr, 0)
-		f.unhold(fr)
-		hi := fr / mem.PagesPerHuge
-		pages := f.byRegion[hi]
-		for k, p := range pages {
-			if p == fr {
-				f.byRegion[hi] = append(pages[:k], pages[k+1:]...)
-				break
+	held := 0
+	for hi, row := range f.pins {
+		n := 0
+		for w, word := range row {
+			for ; word != 0; word &= word - 1 {
+				n++
+				fr := uint64(hi*mem.PagesPerHuge + w*64 + bits.TrailingZeros64(word))
+				if fr >= f.a.TotalPages() || f.a.FrameFree(fr) {
+					vs = append(vs, audit.Violationf("frag", "pinned-frame-free", fr,
+						"pinned frame is free in (or beyond) the buddy"))
+				}
 			}
 		}
+		if (n > 0) != listed[hi] {
+			vs = append(vs, audit.Violationf("frag", "region-order", uint64(hi),
+				"region holds %d pins but listed=%v", n, listed[hi]))
+		}
+		held += n
 	}
+	if held != f.held {
+		vs = append(vs, audit.Violationf("frag", "held-count", 0,
+			"held counter %d, pins %d", f.held, held))
+	}
+	return vs
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/pagetable"
@@ -36,7 +37,11 @@ type PressurePolicy interface {
 // default victim selector.
 const DefaultPressurePolicy = "lru-heat"
 
+// pressurePolicies is the victim-selector registry. Queries freeze it
+// and may come from concurrently constructed engines, so every access
+// holds mu, as the sysreg system registry does.
 var pressurePolicies = struct {
+	mu        sync.Mutex
 	names     []string
 	factories map[string]func() PressurePolicy
 	frozen    bool
@@ -47,34 +52,50 @@ var pressurePolicies = struct {
 // reusing a name, panics — the same freeze-on-first-query contract as
 // the sysreg system registry.
 func RegisterPressurePolicy(name string, factory func() PressurePolicy) {
-	if pressurePolicies.frozen {
+	r := &pressurePolicies
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.frozen {
 		panic(fmt.Sprintf("machine: RegisterPressurePolicy(%q) after registry queried", name))
 	}
-	if _, dup := pressurePolicies.factories[name]; dup {
+	if _, dup := r.factories[name]; dup {
 		panic(fmt.Sprintf("machine: duplicate pressure policy %q", name))
 	}
-	pressurePolicies.factories[name] = factory
-	pressurePolicies.names = append(pressurePolicies.names, name)
+	r.factories[name] = factory
+	r.names = append(r.names, name)
+}
+
+// lookupPressurePolicy freezes the registry and returns the factory
+// registered under name ("" selects DefaultPressurePolicy), if any.
+func lookupPressurePolicy(name string) (func() PressurePolicy, bool) {
+	r := &pressurePolicies
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.frozen = true
+	if name == "" {
+		name = DefaultPressurePolicy
+	}
+	f, ok := r.factories[name]
+	return f, ok
 }
 
 // PressurePolicyNames returns the registered policy names in
 // registration order and freezes the registry.
 func PressurePolicyNames() []string {
-	pressurePolicies.frozen = true
-	return append([]string(nil), pressurePolicies.names...)
+	r := &pressurePolicies
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.frozen = true
+	return append([]string(nil), r.names...)
 }
 
 // NewPressurePolicy builds a registered policy by name ("" selects
 // DefaultPressurePolicy) and freezes the registry. Unknown names panic:
 // they are configuration errors, caught by config validation first.
 func NewPressurePolicy(name string) PressurePolicy {
-	pressurePolicies.frozen = true
-	if name == "" {
-		name = DefaultPressurePolicy
-	}
-	f, ok := pressurePolicies.factories[name]
+	f, ok := lookupPressurePolicy(name)
 	if !ok {
-		panic(fmt.Sprintf("machine: unknown pressure policy %q (have %v)", name, pressurePolicies.names))
+		panic(fmt.Sprintf("machine: unknown pressure policy %q (have %v)", name, PressurePolicyNames()))
 	}
 	return f()
 }
@@ -82,11 +103,7 @@ func NewPressurePolicy(name string) PressurePolicy {
 // ValidPressurePolicy reports whether name is registered ("" counts:
 // it selects the default).
 func ValidPressurePolicy(name string) bool {
-	pressurePolicies.frozen = true
-	if name == "" {
-		return true
-	}
-	_, ok := pressurePolicies.factories[name]
+	_, ok := lookupPressurePolicy(name)
 	return ok
 }
 
@@ -332,7 +349,7 @@ func (L *Layer) swapInRegion(hugeBase uint64) uint64 {
 // freed to the allocator.
 func (L *Layer) DiscardBacking(start, end uint64) uint64 {
 	var freed uint64
-	for base := start &^ uint64(mem.HugeSize - 1); base < end; base += mem.HugeSize {
+	for base := start &^ uint64(mem.HugeSize-1); base < end; base += mem.HugeSize {
 		if _, isHuge, _ := L.Table.LookupHugeRegion(base); isHuge {
 			if base >= start && base+mem.HugeSize <= end {
 				frame, err := L.Table.Unmap2M(base)

@@ -7,6 +7,7 @@ package machine
 // they claim to.
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/mem"
@@ -266,4 +267,30 @@ func TestLruHeatPolicyPicksColdestFirst(t *testing.T) {
 	if len(victims) != 1 || victims[0] != 0 {
 		t.Fatalf("victims = %v, want [0] (the cold region)", victims)
 	}
+}
+
+// TestPressureRegistryConcurrent queries the pressure-policy registry
+// from several goroutines at once, as concurrently built engines do.
+// Every query freezes the registry, so under -race an unguarded
+// registry fails here deterministically.
+func TestPressureRegistryConcurrent(t *testing.T) {
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for j := 0; j < 16; j++ {
+				if !ValidPressurePolicy(DefaultPressurePolicy) || len(PressurePolicyNames()) == 0 {
+					t.Error("default pressure policy missing from the registry")
+				}
+				if p := NewPressurePolicy(""); p.Name() != DefaultPressurePolicy {
+					t.Errorf("NewPressurePolicy(\"\") = %q", p.Name())
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }

@@ -415,6 +415,11 @@ func (e *Engine) fragmentPhase() {
 		fragmenters = append(fragmenters, gf)
 	}
 	e.rec.fragmenters = fragmenters
+	if e.cfg.Audit {
+		for _, f := range fragmenters {
+			e.rec.auditors = append(e.rec.auditors, f)
+		}
+	}
 }
 
 // predecessorPhase runs the SVM predecessor to completion and tears it
