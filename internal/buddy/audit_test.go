@@ -59,9 +59,10 @@ func freeSingleton(t *testing.T, a *Allocator) (even, odd uint64) {
 func TestAuditCatchesLeakedFrame(t *testing.T) {
 	a := mutatedAllocator(t)
 	f, _ := freeSingleton(t, a)
-	// Drop the free block from the free books without adjusting the
-	// counters: a frame leak.
+	// Drop the free block from the free books (order array and index)
+	// without adjusting the counters: a frame leak.
 	a.freeOrd[f] = -1
+	a.index[0].clear(f)
 	expectViolations(t, a.CheckInvariants(),
 		"conservation", "free-count", "fmfi-recompute")
 }
@@ -115,5 +116,44 @@ func TestAuditCatchesMisfiledFreeBlock(t *testing.T) {
 	vs := a.CheckInvariants()
 	if !audit.Has(vs, "block-alignment") {
 		t.Errorf("auditor missed block-alignment; got:\n%s", audit.Report(vs))
+	}
+}
+
+// TestAuditCatchesFreeIndexDrift breaks each clause of the free-index
+// invariant on its own and expects the audit to name it, and nothing
+// else: a free block missing from its order's bitmap (Alloc would
+// never find it), a stale bit for an allocated start, a summary bit
+// out of step with its word, and a hint past the first nonzero
+// summary word.
+func TestAuditCatchesFreeIndexDrift(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(a *Allocator, free, used uint64)
+	}{
+		{"missing-bit", func(a *Allocator, free, _ uint64) { a.index[0].words[free>>6] &^= 1 << (free & 63) }},
+		{"stale-bit", func(a *Allocator, _, used uint64) { a.index[0].words[used>>6] |= 1 << (used & 63) }},
+		{"summary-clear", func(a *Allocator, free, _ uint64) { a.index[0].summary[free>>12] &^= 1 << (free >> 6 & 63) }},
+		{"summary-stale", func(a *Allocator, _, _ uint64) {
+			// The top of the allocator is one free order-10 block, so
+			// the last order-0 word holds no free starts.
+			x := &a.index[0]
+			last := len(x.words) - 1
+			x.summary[last>>6] |= 1 << (last & 63)
+		}},
+		{"hint-past-lowest", func(a *Allocator, _, _ uint64) { a.index[0].hint = len(a.index[0].summary) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := mutatedAllocator(t)
+			free, used := freeSingleton(t, a)
+			if vs := a.CheckInvariants(); len(vs) != 0 {
+				t.Fatalf("baseline not clean: %s", audit.Report(vs))
+			}
+			if a.index[0].words[len(a.index[0].words)-1] != 0 {
+				t.Fatal("setup: last order-0 word holds free starts")
+			}
+			c.mutate(a, free, used)
+			expectViolations(t, a.CheckInvariants(), "free-index")
+		})
 	}
 }

@@ -30,6 +30,7 @@ package buddy
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/audit"
 	"repro/internal/mem"
@@ -52,52 +53,49 @@ var (
 	ErrNotReserved = errors.New("buddy: region is not reserved")
 )
 
-// minHeap is a lazy min-heap of block start frames. Entries may be
-// stale (no longer free at this order); Allocator pops until it finds
-// a live one. It is a hand-rolled heap over raw uint64s rather than a
-// container/heap implementation: heap.Push boxes every frame number
-// into an interface value, and the fault path pushes a block on every
-// allocation, so the boxing allocations and interface dispatch showed
-// up directly in access-latency profiles.
-type minHeap []uint64
-
-func (h *minHeap) push(v uint64) {
-	s := append(*h, v)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-	*h = s
+// freeIndex is one order's exact index of free-block starts: bit b of
+// words is set exactly when a free block of the order starts at frame
+// b<<order. Bit j of summary is set exactly when words[j] is nonzero,
+// and no summary word below hint is nonzero, so the lowest free block
+// is a forward summary scan from hint plus two TrailingZeros64. The
+// fault path allocates lowest-address-first on every fault, so the
+// search costs a few word loads whatever the number of free blocks,
+// and the index never grows after New.
+type freeIndex struct {
+	words   []uint64
+	summary []uint64
+	hint    int
 }
 
-func (h *minHeap) pop() uint64 {
-	s := *h
-	v := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		small := i
-		if l := 2*i + 1; l < n && s[l] < s[small] {
-			small = l
-		}
-		if r := 2*i + 2; r < n && s[r] < s[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
+// set marks block index b free.
+func (x *freeIndex) set(b uint64) {
+	w := b >> 6
+	x.words[w] |= 1 << (b & 63)
+	x.summary[w>>6] |= 1 << (w & 63)
+	if s := int(w >> 6); s < x.hint {
+		x.hint = s
 	}
-	return v
+}
+
+// clear marks block index b not free.
+func (x *freeIndex) clear(b uint64) {
+	w := b >> 6
+	x.words[w] &^= 1 << (b & 63)
+	if x.words[w] == 0 {
+		x.summary[w>>6] &^= 1 << (w & 63)
+	}
+}
+
+// lowest returns the lowest set block index, advancing hint past the
+// empty summary words it skips, or false when the index is empty.
+func (x *freeIndex) lowest() (uint64, bool) {
+	for ; x.hint < len(x.summary); x.hint++ {
+		if sw := x.summary[x.hint]; sw != 0 {
+			w := x.hint<<6 + bits.TrailingZeros64(sw)
+			return uint64(w<<6 + bits.TrailingZeros64(x.words[w])), true
+		}
+	}
+	return 0, false
 }
 
 // Reservation tracks a huge-page-sized region booked by Gemini's huge
@@ -141,9 +139,10 @@ type Allocator struct {
 	// [0, totalPages), so the array replaces hashing (and map growth)
 	// with one indexed byte load at a cost of one byte per frame.
 	freeOrd []int8
-	// heaps[o] holds candidate starts of free order-o blocks
-	// (lazily invalidated).
-	heaps [NumOrders]minHeap
+	// index[o] is the exact bitmap index of free order-o block starts
+	// that untargeted allocation searches; all orders share one
+	// backing array allocated in New.
+	index [NumOrders]freeIndex
 	// counts[o] is the number of live free blocks at order o.
 	counts [NumOrders]uint64
 
@@ -166,6 +165,19 @@ func New(totalPages uint64) *Allocator {
 	}
 	for i := range a.freeOrd {
 		a.freeOrd[i] = -1
+	}
+	// One backing array holds every order's bitmap and summary.
+	var words [NumOrders]int
+	total := 0
+	for o := range words {
+		words[o] = int((totalPages>>o + 63) / 64)
+		total += words[o] + (words[o]+63)/64
+	}
+	backing := make([]uint64, total)
+	for o, n := range words {
+		m := (n + 63) / 64
+		a.index[o] = freeIndex{words: backing[:n:n], summary: backing[n : n+m : n+m]}
+		backing = backing[n+m:]
 	}
 	// Seed free lists with the largest aligned blocks that fit.
 	frame := uint64(0)
@@ -200,35 +212,32 @@ func (a *Allocator) FreeBlockCount(order int) uint64 {
 	return a.counts[order]
 }
 
-// insertFree adds a free block and registers it in the heap.
+// insertFree adds a free block to the books and the order's index.
 func (a *Allocator) insertFree(start uint64, order uint8) {
 	a.freeOrd[start] = int8(order)
 	a.counts[order]++
 	a.epoch++
-	a.heaps[order].push(start)
+	a.index[order].set(start >> order)
 }
 
-// removeFree deletes a known-free block from the books. The heap entry
-// is left to lazy invalidation.
+// removeFree deletes a known-free block from the books and the index.
 func (a *Allocator) removeFree(start uint64, order uint8) {
 	a.freeOrd[start] = -1
 	a.counts[order]--
 	a.epoch++
+	a.index[order].clear(start >> order)
 }
 
-// popLowest returns the lowest-addressed live free block of the order,
-// or false if none exists.
+// popLowest removes and returns the lowest-addressed free block of the
+// order, or false if none exists.
 func (a *Allocator) popLowest(order int) (uint64, bool) {
-	h := &a.heaps[order]
-	for len(*h) > 0 {
-		start := (*h)[0]
-		h.pop()
-		if a.freeOrd[start] == int8(order) {
-			return start, true
-		}
-		// Stale entry: keep popping.
+	b, ok := a.index[order].lowest()
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	start := b << order
+	a.removeFree(start, uint8(order))
+	return start, true
 }
 
 // Alloc allocates a block of 2^order frames and returns its first
@@ -243,7 +252,6 @@ func (a *Allocator) Alloc(order int) (uint64, error) {
 		if !ok {
 			continue
 		}
-		a.removeFree(start, uint8(o))
 		// Split down to the requested order, freeing upper halves.
 		for cur := o; cur > order; cur-- {
 			half := uint64(1) << (cur - 1)
@@ -584,8 +592,8 @@ const auditLayer = "buddy"
 //   - per-order counts and freePages match a recount of the free map
 //     (block conservation: free + allocated + reserved == total, with
 //     allocated implicitly total minus the other two);
-//   - every live free block is reachable through its order's heap, so
-//     targeted and untargeted allocation agree on what is free;
+//   - each order's free index is exact (see checkIndex), so targeted
+//     and untargeted allocation agree on what is free;
 //   - reserved regions are wholly withdrawn from the free lists, and
 //     each reservation's claim bitmap matches its claim counter;
 //   - FMFI computed from the incremental counters matches an FMFI
@@ -642,24 +650,7 @@ func (a *Allocator) CheckInvariants() []audit.Violation {
 		}
 		prevEnd = sp.end
 	}
-	// Heap reachability: every live free block must appear in its
-	// order's heap (stale extra entries are fine, missing ones are not
-	// — Alloc would never find the block).
-	for o := 0; o <= MaxOrder; o++ {
-		if a.counts[o] == 0 {
-			continue
-		}
-		inHeap := make(map[uint64]bool, len(a.heaps[o]))
-		for _, s := range a.heaps[o] {
-			inHeap[s] = true
-		}
-		for s := range a.freeOrd {
-			if int(a.freeOrd[s]) == o && !inHeap[uint64(s)] {
-				vs = append(vs, audit.Violationf(auditLayer, "heap-membership", uint64(s),
-					"free order-%d block missing from its allocation heap", o))
-			}
-		}
-	}
+	vs = append(vs, a.checkIndex()...)
 	// Reservations: in bounds, withdrawn from the free lists, claim
 	// bitmap consistent with the claim counter.
 	for hi, r := range a.reservations {
@@ -711,6 +702,53 @@ func (a *Allocator) CheckInvariants() []audit.Violation {
 		if diff > 1e-9 {
 			vs = append(vs, audit.Violationf(auditLayer, "fmfi-recompute", 0,
 				"FMFI from counters %.9f != FMFI from free map %.9f", tracked, recomputed))
+		}
+	}
+	return vs
+}
+
+// checkIndex reports every "free-index" discrepancy between the
+// per-order bitmaps and the free-order array: a block bit is set
+// exactly when a free block of that order starts there (padding bits
+// past the last possible start included), a summary bit is set
+// exactly when its word is nonzero (padding bits past the last word
+// included), and the hint does not pass the first nonzero summary
+// word.
+func (a *Allocator) checkIndex() []audit.Violation {
+	var vs []audit.Violation
+	for o := range a.index {
+		x := &a.index[o]
+		for w, word := range x.words {
+			var want uint64
+			for bit := 0; bit < 64; bit++ {
+				if s := uint64(w<<6+bit) << o; s < a.totalPages && a.freeOrd[s] == int8(o) {
+					want |= 1 << bit
+				}
+			}
+			if word != want {
+				vs = append(vs, audit.Violationf(auditLayer, "free-index", uint64(w)<<(6+o),
+					"order-%d index word %d is %#x but the free starts it covers are %#x", o, w, word, want))
+			}
+		}
+		first := len(x.summary)
+		for si, sw := range x.summary {
+			var want uint64
+			for bit := 0; bit < 64 && si<<6+bit < len(x.words); bit++ {
+				if x.words[si<<6+bit] != 0 {
+					want |= 1 << bit
+				}
+			}
+			if sw != want {
+				vs = append(vs, audit.Violationf(auditLayer, "free-index", uint64(si)<<(12+o),
+					"order-%d summary word %d is %#x but its nonzero words are %#x", o, si, sw, want))
+			}
+			if sw != 0 && first == len(x.summary) {
+				first = si
+			}
+		}
+		if x.hint > first {
+			vs = append(vs, audit.Violationf(auditLayer, "free-index", uint64(o),
+				"order-%d hint %d passes the first nonzero summary word %d", o, x.hint, first))
 		}
 	}
 	return vs

@@ -7,11 +7,27 @@ import (
 	"repro/internal/mem"
 )
 
+// refAlloc is the rebuild-from-scratch oracle for untargeted Alloc: a
+// linear sweep of the free-order array for the lowest free block of
+// the smallest order >= order that has one, which is the block Alloc
+// must split and return.
+func refAlloc(a *Allocator, order int) (uint64, bool) {
+	for o := order; o <= MaxOrder; o++ {
+		for s, fo := range a.freeOrd {
+			if int(fo) == o {
+				return uint64(s), true
+			}
+		}
+	}
+	return 0, false
+}
+
 // FuzzBuddyAllocFree drives random but legal operation sequences
-// against the allocator and checks two oracles after every step: the
-// allocator's own invariant audit, and an external page-conservation
-// model kept by the fuzzer (total = free + tracked allocations +
-// withdrawn reservations).
+// against the allocator and checks three oracles after every step: the
+// allocator's own invariant audit, an external page-conservation model
+// kept by the fuzzer (total = free + tracked allocations + withdrawn
+// reservations), and, for every untargeted Alloc, refAlloc's linear
+// sweep for the lowest free block.
 func FuzzBuddyAllocFree(f *testing.F) {
 	// Seeds touching every opcode at least once.
 	f.Add([]byte{0, 9, 0, 0, 1, 0, 2, 8, 3, 2, 4, 7, 5, 0, 6, 0})
@@ -77,7 +93,13 @@ func FuzzBuddyAllocFree(f *testing.F) {
 			switch op {
 			case 0: // Alloc
 				order := int(arg) % (MaxOrder + 1)
-				if start, err := a.Alloc(order); err == nil {
+				want, wantOK := refAlloc(a, order)
+				start, err := a.Alloc(order)
+				if (err == nil) != wantOK || (wantOK && start != want) {
+					t.Fatalf("step %d: Alloc(%d) = %#x, %v; linear sweep wants %#x, found=%v",
+						step, order, start, err, want, wantOK)
+				}
+				if err == nil {
 					allocs = append(allocs, block{start, order})
 				}
 				check(step, "Alloc")

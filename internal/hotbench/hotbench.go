@@ -2,7 +2,9 @@
 // case per layer of the access pipeline (TLB lookup, native and
 // nested walk costing, page-table walk, the cached and uncached
 // access paths, and demand faulting), plus control-plane cases for the
-// work fragmented cells do outside it (fragmentation and recovery),
+// work fragmented and reused cells do outside it (fragmentation and
+// recovery, ranged page-table scans, TLB region flushes, and order-0
+// allocation from fragmented memory),
 // shared between `go test -bench` and paperbench's -bench-export mode
 // so both always measure the same code with the same names. The suite
 // pins the performance contract of DESIGN.md §7: the steady-state
@@ -45,6 +47,9 @@ func Suite() []Case {
 		{"MicroSweep", benchMicroSweep},
 		{"MicroSweepScalar", benchMicroSweepScalar},
 		{"FragmentRecover", benchFragmentRecover},
+		{"ScanRange", benchScanRange},
+		{"FlushHugeRegion", benchFlushHugeRegion},
+		{"AllocFragmented", benchAllocFragmented},
 	}
 }
 
@@ -273,5 +278,62 @@ func benchFragmentRecover(b *testing.B) {
 		f.FragmentTo(0.96, 0.55)
 		for f.ReleaseRegions(1) > 0 {
 		}
+	}
+}
+
+// scanSink keeps the compiler from eliding ranged-scan visits.
+var scanSink int
+
+// benchScanRange measures one 2 MiB ranged page-table scan, the probe
+// khugepaged-style promotion, FHPM's population count and UnmapVMA
+// issue per region, near the top of a table with 400 MB mapped in
+// base pages: the case where a scan that walks everything below its
+// range costs the most.
+func benchScanRange(b *testing.B) {
+	const mappedPages = 400 << 20 >> mem.PageShift
+	t := pagetable.New()
+	for pn := uint64(0); pn < mappedPages; pn++ {
+		t.Map4K(pn<<mem.PageShift, pn)
+	}
+	start := uint64(mappedPages)<<mem.PageShift - 2*mem.HugeSize
+	visit := func(pagetable.Mapping) bool { scanSink++; return true }
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t.ScanRange(start, start+mem.HugeSize, visit)
+	}
+}
+
+// benchFlushHugeRegion measures a 2 MiB region shootdown on a full
+// default-geometry TLB. The flushed regions hold no entries, so every
+// iteration sees the same full TLB and costs a whole search.
+func benchFlushHugeRegion(b *testing.B) {
+	t := tlb.New(tlb.DefaultConfig())
+	for pn := uint64(0); t.Stats().Insert4K < uint64(t.Entries()); pn++ {
+		t.Insert(pn<<mem.PageShift, mem.Base)
+	}
+	far := uint64(1) << 40
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t.FlushHugeRegion(far + uint64(i&1023)*mem.HugeSize)
+	}
+}
+
+// benchAllocFragmented measures an order-0 allocate-and-free pair on a
+// 2560 MB allocator fragmented to FMFI 0.96 at density 0.55 (seed 1),
+// the lowest-address-first search every demand fault makes in a
+// fragmented cell. Fragmenting is off the clock.
+func benchAllocFragmented(b *testing.B) {
+	a := buddy.New(2560 << 20 >> mem.PageShift)
+	frag.New(a, 1).FragmentTo(0.96, 0.55)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := a.Alloc(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.Free(f, 0)
 	}
 }

@@ -551,37 +551,60 @@ func (t *Table) WalkSteps(va uint64) int {
 // ScanHuge calls fn for every huge mapping in ascending VA order.
 // Returning false from fn stops the scan.
 func (t *Table) ScanHuge(fn func(m Mapping) bool) {
-	t.scan(t.root, 0, numLevels-1, true, fn)
+	t.scan(t.root, 0, numLevels-1, 0, ^uint64(0), true, fn)
 }
 
 // ScanAll calls fn for every mapping (base and huge) in ascending VA
 // order. Returning false stops the scan.
 func (t *Table) ScanAll(fn func(m Mapping) bool) {
-	t.scan(t.root, 0, numLevels-1, false, fn)
+	t.scan(t.root, 0, numLevels-1, 0, ^uint64(0), false, fn)
 }
 
-// scan recursively visits mappings. hugeOnly limits output to 2 MiB
-// leaves. Returns false when the visitor aborted.
-func (t *Table) scan(n *node, vaBase uint64, level int, hugeOnly bool, fn func(m Mapping) bool) bool {
-	span := uint64(mem.PageSize) << (9 * uint(level))
-	for i := 0; i < entriesPerNode; i++ {
-		va := vaBase + uint64(i)*span
-		if level == hugeLevel && n.present[i] && n.huge[i] {
+// ScanRange calls fn, in ascending VA order, for every mapping that
+// overlaps [start, end): every mapping with VA < end and VA+size >
+// start. A huge mapping that straddles start is therefore reported
+// (PromoteMigrate and UnmapVMA rely on this), and an empty or inverted
+// range reports only mappings that satisfy both bounds. Returning
+// false stops the scan. The walk descends only into slots that
+// intersect the range, so a 2 MiB query visits about one PTE node.
+func (t *Table) ScanRange(start, end uint64, fn func(m Mapping) bool) {
+	t.scan(t.root, 0, numLevels-1, start, end, false, fn)
+}
+
+// scan visits, in ascending VA order, the mappings under n (whose
+// first slot starts at vaBase) that overlap [start, end). It loops
+// only over the slots whose span intersects the range; at the leaf
+// levels a slot's span is the mapping itself, so the slot bounds are
+// the exact overlap test. hugeOnly limits output to 2 MiB leaves and
+// skips the PTE level entirely. Returns false when the visitor
+// aborted.
+func (t *Table) scan(n *node, vaBase uint64, level int, start, end uint64, hugeOnly bool, fn func(m Mapping) bool) bool {
+	if end <= vaBase {
+		return true
+	}
+	shift := mem.PageShift + 9*uint(level)
+	lo, hi := 0, entriesPerNode
+	if start > vaBase {
+		lo = int((start - vaBase) >> shift)
+	}
+	if last := (end - vaBase - 1) >> shift; last < entriesPerNode {
+		hi = int(last) + 1
+	}
+	for i := lo; i < hi; i++ {
+		va := vaBase + uint64(i)<<shift
+		switch {
+		case level == 0:
+			if n.present[i] && !hugeOnly && !fn(Mapping{VA: va, Frame: n.frame[i], Kind: mem.Base}) {
+				return false
+			}
+		case level == hugeLevel && n.present[i] && n.huge[i]:
 			if !fn(Mapping{VA: va, Frame: n.frame[i], Kind: mem.Huge}) {
 				return false
 			}
-			continue
-		}
-		if level == 0 {
-			if n.present[i] && !hugeOnly {
-				if !fn(Mapping{VA: va, Frame: n.frame[i], Kind: mem.Base}) {
-					return false
-				}
-			}
-			continue
-		}
-		if child := n.children[i]; child != nil {
-			if !t.scan(child, va, level-1, hugeOnly, fn) {
+		case level == hugeLevel && hugeOnly:
+			// A PTE node below holds no huge leaf.
+		default:
+			if child := n.children[i]; child != nil && !t.scan(child, va, level-1, start, end, hugeOnly, fn) {
 				return false
 			}
 		}
@@ -608,17 +631,4 @@ func (t *Table) ClearAccessed(va uint64) {
 		return
 	}
 	pte.accessed[index(va, 0)] = false
-}
-
-// ScanRange calls fn for every mapping whose VA lies in [start, end).
-func (t *Table) ScanRange(start, end uint64, fn func(m Mapping) bool) {
-	t.ScanAll(func(m Mapping) bool {
-		if m.VA >= end {
-			return false
-		}
-		if m.VA+m.Kind.Bytes() <= start {
-			return true
-		}
-		return fn(m)
-	})
 }

@@ -263,27 +263,24 @@ func (t *TLB) FlushPage(va uint64) {
 
 // FlushHugeRegion removes all entries covering the 2 MiB region that
 // contains va: the huge entry and every base entry within. Used when a
-// region is promoted, demoted, or migrated.
+// region is promoted, demoted, or migrated. One pass over the flat way
+// array finds them: with fewer than 512 sets (the default has 192) the
+// region's 512 base pages map to every set, so probing each page's set
+// would read every way more than once.
 func (t *TLB) FlushHugeRegion(va uint64) {
-	base := va &^ uint64(mem.HugeSize-1)
-	for _, kind := range []mem.PageSizeKind{mem.Huge} {
-		tag, si := t.tagOf(base, kind)
-		set := t.set(si)
-		for i := range set {
-			if set[i].tag == tag {
-				set[i] = entry{tag: invalidTag}
-				t.stats.Flushes++
-			}
-		}
-	}
-	for p := uint64(0); p < mem.PagesPerHuge; p++ {
-		tag, si := t.tagOf(base+p*mem.PageSize, mem.Base)
-		set := t.set(si)
-		for i := range set {
-			if set[i].tag == tag {
-				set[i] = entry{tag: invalidTag}
-				t.stats.Flushes++
-			}
+	region := va >> mem.HugeShift
+	hugeTag := region<<1 | uint64(mem.Huge)
+	// A base tag is pn<<1 with kind bit 0, and its region is pn>>9, so
+	// clearing the tag's nine in-region page bits leaves region<<10
+	// exactly for the region's base tags. invalidTag keeps its kind
+	// bit, so it never matches.
+	const pageBits = (mem.PagesPerHuge - 1) << 1
+	baseKey := region << (1 + mem.HugeShift - mem.PageShift)
+	ways := t.ways
+	for i := range ways {
+		if tag := ways[i].tag; tag == hugeTag || tag&^pageBits == baseKey {
+			ways[i] = entry{tag: invalidTag}
+			t.stats.Flushes++
 		}
 	}
 }

@@ -155,6 +155,71 @@ func TestFlushHugeRegion(t *testing.T) {
 	}
 }
 
+// refFlushHugeRegion is the probe-per-page region flush that
+// FlushHugeRegion's one-sweep pass replaced: the huge tag's set, then
+// the set of each of the region's 512 base pages.
+func refFlushHugeRegion(t *TLB, va uint64) {
+	base := va &^ uint64(mem.HugeSize-1)
+	flush := func(va uint64, kind mem.PageSizeKind) {
+		tag, si := t.tagOf(va, kind)
+		set := t.set(si)
+		for i := range set {
+			if set[i].tag == tag {
+				set[i] = entry{tag: invalidTag}
+				t.stats.Flushes++
+			}
+		}
+	}
+	flush(base, mem.Huge)
+	for p := uint64(0); p < mem.PagesPerHuge; p++ {
+		flush(base+p*mem.PageSize, mem.Base)
+	}
+}
+
+// TestFlushHugeRegionMatchesProbeReference drives twin TLBs through
+// the same random inserts, accesses and region flushes, one flushing
+// with FlushHugeRegion and one with refFlushHugeRegion, and requires
+// identical ways and Stats after every flush, across geometries that
+// include non-power-of-two set counts.
+func TestFlushHugeRegionMatchesProbeReference(t *testing.T) {
+	for _, g := range [][2]int{{192, 8}, {4, 2}, {7, 3}, {1, 1}, {64, 4}} {
+		cfg := DefaultConfig()
+		cfg.Sets, cfg.Ways = g[0], g[1]
+		got, ref := New(cfg), New(cfg)
+		rng := rand.New(rand.NewSource(int64(g[0]*100 + g[1])))
+		// Addresses over 8 regions, with kinds mixed so huge and base
+		// tags of one region coexist.
+		addr := func() uint64 { return uint64(rng.Intn(8*mem.PagesPerHuge)) * mem.PageSize }
+		for step := 0; step < 4000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				va, kind := addr(), mem.PageSizeKind(rng.Intn(2))
+				got.Insert(va, kind)
+				ref.Insert(va, kind)
+			case r < 9:
+				va, kind := addr(), mem.PageSizeKind(rng.Intn(2))
+				got.AccessNested(va, kind, kind, mem.Base, va)
+				ref.AccessNested(va, kind, kind, mem.Base, va)
+			default:
+				va := addr()
+				got.FlushHugeRegion(va)
+				refFlushHugeRegion(ref, va)
+				if got.Stats() != ref.Stats() {
+					t.Fatalf("%dx%d step %d: stats %+v, reference %+v", g[0], g[1], step, got.Stats(), ref.Stats())
+				}
+				for i := range got.ways {
+					if got.ways[i] != ref.ways[i] {
+						t.Fatalf("%dx%d step %d: way %d = %+v, reference %+v", g[0], g[1], step, i, got.ways[i], ref.ways[i])
+					}
+				}
+			}
+		}
+		if ref.Stats().Flushes == 0 {
+			t.Fatalf("%dx%d: no entry was ever flushed; the check is vacuous", g[0], g[1])
+		}
+	}
+}
+
 func TestFlushAll(t *testing.T) {
 	tl := newSmall()
 	tl.Insert(0x1000, mem.Base)
