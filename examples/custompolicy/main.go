@@ -88,8 +88,7 @@ func main() {
 		w := workload.New(spec, vm, 9)
 		var cycles, ops uint64
 		for i := 0; i < 3000; i++ {
-			st := w.Step(1)
-			cycles += st.Cycles
+			cycles += w.StepOne()
 			ops++
 			if i%64 == 0 {
 				m.Tick()

@@ -550,10 +550,9 @@ func (f *Fleet) migrate(tick uint64, id, dst int) {
 // quantum, the host's daemons tick, and gauges sample on the stride.
 func (f *Fleet) stepHost(h *host) {
 	for _, id := range h.resident {
-		// A VM's whole per-tick quantum runs through the vectorized
-		// StepN core in one call; VMs still run strictly in resident
-		// order, so host frame allocation is order-identical to the
-		// per-request loop.
+		// A VM's whole per-tick quantum runs through one StepN
+		// call; VMs still run strictly in resident order, so host
+		// frame allocation is order-identical to the per-request loop.
 		h.reqCycles += f.vms[id].w.StepN(f.cfg.RequestsPerVMTick, nil)
 		h.reqs += uint64(f.cfg.RequestsPerVMTick)
 	}

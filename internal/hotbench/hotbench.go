@@ -1,16 +1,19 @@
 // Package hotbench defines the hot-path microbenchmark suite: one
 // case per layer of the access pipeline (TLB lookup, native and
 // nested walk costing, page-table walk, the cached and uncached
-// access paths, and demand faulting), plus control-plane cases for the
-// work fragmented and reused cells do outside it (fragmentation and
-// recovery, ranged page-table scans, TLB region flushes, and order-0
-// allocation from fragmented memory),
+// access paths, demand faulting, and the end-to-end Figure 2 sweep),
+// plus control-plane cases for the work fragmented and reused cells
+// do outside it (fragmentation and recovery, ranged page-table scans,
+// TLB region flushes, and order-0 allocation from fragmented memory),
 // shared between `go test -bench` and paperbench's -bench-export mode
-// so both always measure the same code with the same names. The suite
-// pins the performance contract of DESIGN.md §7: the steady-state
-// access path allocates nothing (TestAccessSteadyStateZeroAllocs) and
-// regressions beyond tolerance against the committed BENCH_hotpath.json
-// baseline fail CI.
+// so both always measure the same code with the same names. The
+// access cases all run the one access path, workload.StepOne/StepN
+// over machine.VM.AccessN; AccessUncached releases the walk cache so
+// the same path takes the uncached reference walk. The suite pins the
+// performance contract of DESIGN.md §7: the steady-state access path
+// allocates nothing (TestAccessSteadyStateZeroAllocs) and regressions
+// beyond tolerance against the committed BENCH_hotpath.json baseline
+// fail CI.
 package hotbench
 
 import (
@@ -45,7 +48,6 @@ func Suite() []Case {
 		{"AccessUncached", benchAccessUncached},
 		{"FullFault", benchFullFault},
 		{"MicroSweep", benchMicroSweep},
-		{"MicroSweepScalar", benchMicroSweepScalar},
 		{"FragmentRecover", benchFragmentRecover},
 		{"ScanRange", benchScanRange},
 		{"FlushHugeRegion", benchFlushHugeRegion},
@@ -205,26 +207,11 @@ func runMicroSweep() {
 	}
 }
 
-// benchMicroSweep measures end-to-end Figure 2 sweeps per second down
-// the default vectorized path: page draws batched into precomputed
-// address streams and fed to AccessN, keeping the TLB probe and
-// walk-cache loop in cache across a whole request batch.
+// benchMicroSweep measures end-to-end Figure 2 sweeps per second: page
+// draws batched into precomputed address streams and fed to AccessN,
+// keeping the TLB probe and walk-cache loop in cache across a whole
+// request batch.
 func benchMicroSweep(b *testing.B) {
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runMicroSweep()
-	}
-}
-
-// benchMicroSweepScalar measures the identical sweep down the scalar
-// one-access-at-a-time reference path (workload.SetVectorized(false)).
-// The MicroSweep/MicroSweepScalar ratio is the vectorization speedup
-// quoted in EXPERIMENTS.md; both paths produce bit-identical results,
-// so only the ratio — never the output — depends on the toggle.
-func benchMicroSweepScalar(b *testing.B) {
-	prev := workload.SetVectorized(false)
-	defer workload.SetVectorized(prev)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

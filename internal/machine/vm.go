@@ -34,12 +34,13 @@ type VM struct {
 	// dispatch (see translation.go).
 	mode  TranslationMode
 	radix bool
-	// wc is the software walk cache accelerating Access; see
+	// wc is the software walk cache accelerating AccessN; see
 	// walkcache.go. A zero wc (nil entries) means disabled.
 	wc walkCache
-	// bat stages resolved translations for AccessN's two-pass batch
-	// loop; allocated on the first batched access.
+	// bat stages resolved translations for AccessN's two-pass loop.
 	bat accessBatch
+	// one is Access's single-address argument to AccessN.
+	one [1]uint64
 	// wcArena is the pooled backing store of wc.entries.
 	wcArena *wcArena
 }
@@ -128,6 +129,11 @@ func (m *Machine) AddVM(guestPages uint64, guestPolicy, hostPolicy Policy, tcfg 
 	// base-grain entries to age out, as discussed in the TLB package.)
 	vm.Guest.FlushRegion = vm.TLB.FlushHugeRegion
 	vm.mode, vm.radix = RadixNested{}, true
+	vm.bat = accessBatch{
+		gpa:  make([]uint64, accessBatchChunk),
+		si:   make([]uint32, accessBatchChunk),
+		meta: make([]uint8, accessBatchChunk),
+	}
 	vm.wcInit()
 	m.nextID++
 	m.VMs = append(m.VMs, vm)
@@ -203,76 +209,49 @@ func (vm *VM) AbsorbMigration(pages uint64) {
 
 // Access performs one guest memory access at gva, faulting in both
 // layers as needed, and returns the cycles consumed (faults, page
-// walk or TLB hit, and any pending shootdown stalls).
-//
-// The steady-state path — both layers mapped, no destructive mutation
-// since the translation was last resolved — is served from the walk
-// cache without touching either page table and without allocating
-// (pinned by BenchmarkAccessSteadyState); it performs exactly the
-// simulated work of the reference path below, so results are identical
-// with the cache on or off.
+// walk or TLB hit, and any pending shootdown stalls). It is AccessN
+// over the VM's one-element staging array, so it shares AccessN's walk
+// cache path and allocates nothing.
 func (vm *VM) Access(gva uint64) uint64 {
-	if vm.wc.entries != nil {
-		vm.wcRevalidate()
-		ent := &vm.wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
-		if ent.epoch == vm.wc.epoch && ent.tag == gva>>mem.PageShift {
-			// Heat indices are derived, not cached: the guest index is
-			// gva's 2 MiB region and the EPT index is gpa's, where
-			// gpa >> HugeShift == gfn >> (HugeShift - PageShift).
-			vm.Guest.heatBump(gva >> mem.HugeShift)
-			vm.EPT.heatBump(ent.gfn >> (mem.HugeShift - mem.PageShift))
-			ent.gRef.Mark()
-			ent.eRef.Mark()
-			gpa := ent.gfn*mem.PageSize + (gva & (mem.PageSize - 1))
-			var res tlb.AccessResult
-			if vm.radix {
-				res = vm.TLB.AccessNested(gva, ent.eff, ent.gKind, ent.hKind, gpa)
-			} else {
-				res = vm.mode.Access(vm.TLB, gva, ent.eff, ent.gKind, ent.hKind, gpa)
-			}
-			return res.Cycles + vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
-		}
-		cycles := vm.accessUncached(gva)
-		vm.wcFill(gva)
-		return cycles
-	}
-	return vm.accessUncached(gva)
+	vm.one[0] = gva
+	return vm.AccessN(vm.one[:])
 }
 
 // accessBatchChunk bounds how many pre-resolved translations AccessN
-// hands the TLB batch kernel at once; it also sizes the VM's reusable
-// staging buffers (~7 KiB).
+// stages at once; it also sizes the VM's reusable staging buffers
+// (~13 KiB).
 const accessBatchChunk = 1024
 
 // accessBatch is the per-VM staging area for AccessN's two-pass loop:
 // pass one resolves each address through the walk cache into these
-// parallel slices, pass two feeds them to tlb.AccessNestedBatch.
-// Allocated once, on the first batched access.
+// parallel slices, pass two charges them to the TLB. Allocated in
+// AddVM.
 type accessBatch struct {
 	gpa  []uint64
 	si   []uint32
 	meta []uint8 // tlb.PackKinds(eff, gKind, hKind), cached in the walk-cache entry
 }
 
-// AccessN performs one Access per address, in order, and returns the
-// total cycle cost — the batched entry point the workload layer's
-// StepN drives. The simulated work (fault decisions, heat bumps, PTE
-// marks, TLB updates, stall charges) is exactly per-address Access;
-// batching only changes wall time, in two ways. First, the
-// revalidation check, epoch, and entry-array pointer are hoisted out
-// of the loop and refreshed after any uncached access (the only point
-// table versions can move). Second, on the radix path each run of
-// walk-cache hits is split into two passes: pass one does the
-// per-address bookkeeping (heat, accessed bits, stall draining) and
-// stages the resolved translation, pass two runs the TLB batch kernel
-// over the staged run. Heat/PTE state and TLB state are disjoint and
-// nothing reads either until the batch returns, so the split leaves
+// AccessN performs one access per address, in order, and returns the
+// total cycle cost. It is the only access path: Access and the
+// workload layer's StepOne/StepN all come here. The simulated work
+// (fault decisions, heat bumps, PTE marks, TLB updates, stall charges)
+// is exactly that of accessUncached per address; the walk cache only
+// changes wall time, in two ways. First, the revalidation check,
+// epoch, and entry-array pointer are hoisted out of the loop and
+// refreshed after any uncached access (the only point table versions
+// can move). Second, each run of walk-cache hits is split into two
+// passes, for every translation mode: pass one does the per-address
+// bookkeeping (heat, accessed bits, stall draining) and stages the
+// resolved translation, pass two charges the staged run to the TLB
+// (chargeStaged). Heat/PTE state and TLB state are disjoint and
+// nothing reads either until the run is charged, so the split leaves
 // every final state and cycle count identical to the interleaved
-// order; a walk-cache miss flushes the staged run to the TLB first,
-// keeping the uncached access's TLB view exactly sequential.
-// Hit-vs-miss in the software walk cache never changes simulated
-// cycles (§7.1's observer-effect invariant), so the hoist needs no
-// exactness argument beyond revalidate-after-miss.
+// order; a walk-cache miss charges the staged run first, keeping the
+// uncached access's TLB view exactly sequential. Hit-vs-miss in the
+// software walk cache never changes simulated cycles (§7.1's
+// observer-effect invariant), so the hoist needs no exactness
+// argument beyond revalidate-after-miss.
 func (vm *VM) AccessN(gvas []uint64) uint64 {
 	var total uint64
 	if vm.wc.entries == nil {
@@ -280,38 +259,6 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 			total += vm.accessUncached(gva)
 		}
 		return total
-	}
-	if !vm.radix {
-		// Translation-replacing modes route through mode.Access;
-		// keep the straightforward hoisted loop.
-		vm.wcRevalidate()
-		entries := vm.wc.entries
-		epoch := vm.wc.epoch
-		for _, gva := range gvas {
-			ent := &entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
-			if ent.epoch == epoch && ent.tag == gva>>mem.PageShift {
-				vm.Guest.heatBump(gva >> mem.HugeShift)
-				vm.EPT.heatBump(ent.gfn >> (mem.HugeShift - mem.PageShift))
-				ent.gRef.Mark()
-				ent.eRef.Mark()
-				gpa := ent.gfn*mem.PageSize + (gva & (mem.PageSize - 1))
-				res := vm.mode.Access(vm.TLB, gva, ent.eff, ent.gKind, ent.hKind, gpa)
-				total += res.Cycles + vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
-				continue
-			}
-			total += vm.accessUncached(gva)
-			vm.wcFill(gva)
-			vm.wcRevalidate()
-			epoch = vm.wc.epoch
-		}
-		return total
-	}
-	if vm.bat.gpa == nil {
-		vm.bat = accessBatch{
-			gpa:  make([]uint64, accessBatchChunk),
-			si:   make([]uint32, accessBatchChunk),
-			meta: make([]uint8, accessBatchChunk),
-		}
 	}
 	vm.wcRevalidate()
 	entries := vm.wc.entries
@@ -326,6 +273,9 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 			if ent.epoch != epoch || ent.tag != gva>>mem.PageShift {
 				break
 			}
+			// Heat indices are derived, not cached: the guest index is
+			// gva's 2 MiB region and the EPT index is gpa's, where
+			// gpa >> HugeShift == gfn >> (HugeShift - PageShift).
 			vm.Guest.heatBump(gva >> mem.HugeShift)
 			vm.EPT.heatBump(ent.gfn >> (mem.HugeShift - mem.PageShift))
 			ent.gRef.Mark()
@@ -337,21 +287,40 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 			n++
 			i++
 		}
-		// Pass two: the staged run through the TLB batch kernel.
+		// Pass two: the staged run through the TLB.
 		if n > 0 {
-			total += vm.TLB.AccessNestedBatch(gvas[start:start+n],
-				vm.bat.gpa[:n], vm.bat.si[:n], vm.bat.meta[:n])
+			total += vm.chargeStaged(gvas[start : start+n])
 		}
 		if n == accessBatchChunk || i >= len(gvas) {
 			continue
 		}
-		// Walk-cache miss: the staged run is flushed, so the uncached
+		// Walk-cache miss: the staged run is charged, so the uncached
 		// access sees the TLB exactly as the sequential order would.
-		total += vm.accessUncached(gvas[i])
-		vm.wcFill(gvas[i])
-		vm.wcRevalidate()
+		// wcFill revalidates before it resolves, so its epoch is
+		// current once it returns.
+		gva := gvas[i]
+		total += vm.accessUncached(gva)
+		vm.wcFill(gva)
 		epoch = vm.wc.epoch
 		i++
+	}
+	return total
+}
+
+// chargeStaged charges the TLB for the first len(gvas) staged
+// translations and returns their cycles. Radix VMs run the batch
+// kernel; other modes charge each access through mode.Access with the
+// kinds unpacked from the staged meta byte, in the same order.
+func (vm *VM) chargeStaged(gvas []uint64) uint64 {
+	n := len(gvas)
+	if vm.radix {
+		return vm.TLB.AccessNestedBatch(gvas, vm.bat.gpa[:n], vm.bat.si[:n], vm.bat.meta[:n])
+	}
+	var total uint64
+	for j, gva := range gvas {
+		m := vm.bat.meta[j]
+		eff, gKind, hKind := mem.PageSizeKind(m&3), mem.PageSizeKind(m>>2&3), mem.PageSizeKind(m>>4&3)
+		total += vm.mode.Access(vm.TLB, gva, eff, gKind, hKind, vm.bat.gpa[j]).Cycles
 	}
 	return total
 }
@@ -379,22 +348,11 @@ func (vm *VM) accessUncached(gva uint64) uint64 {
 	vm.Guest.Table.MarkAccessed(gva)
 	vm.EPT.Table.MarkAccessed(gpa)
 
-	// The §2.2 alignment rule: a 2 MiB TLB entry requires huge
-	// mappings at both layers. (Boundaries coincide automatically: a
-	// huge guest mapping points at a huge-aligned GPA region, and a
-	// huge EPT mapping covering that GPA covers exactly that region.)
-	var res tlb.AccessResult
-	if vm.radix {
-		eff := mem.Base
-		if gKind == mem.Huge && hKind == mem.Huge {
-			eff = mem.Huge
-		}
-		res = vm.TLB.AccessNested(gva, eff, gKind, hKind, gpa)
-	} else {
-		eff := vm.mode.EffectiveKind(gKind, hKind)
-		res = vm.mode.Access(vm.TLB, gva, eff, gKind, hKind, gpa)
-	}
-	cycles += res.Cycles
+	// The mode's entry-kind rule (for radix, §2.2's: a 2 MiB TLB entry
+	// requires huge mappings at both layers) picks what the TLB may
+	// install.
+	eff := vm.mode.EffectiveKind(gKind, hKind)
+	cycles += vm.mode.Access(vm.TLB, gva, eff, gKind, hKind, gpa).Cycles
 	cycles += vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
 	return cycles
 }

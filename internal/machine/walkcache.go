@@ -54,15 +54,13 @@ type wcEntry struct {
 	gfn   uint64 // guest frame number (gpa = gfn*PageSize + offset)
 	gRef  pagetable.AccessRef
 	eRef  pagetable.AccessRef
-	gKind mem.PageSizeKind
-	hKind mem.PageSizeKind
-	eff   mem.PageSizeKind // TLB entry kind under the §2.2 alignment rule
 	// tlbSet is the precomputed TLB set index for (gva, eff) — it fits
 	// in the line's padding and saves the batch kernel a per-access
 	// modulo (tlb.SetIndexOf).
 	tlbSet uint32
-	// meta packs eff | gKind<<2 | hKind<<4 (tlb.PackKinds) so AccessN
-	// stages one byte per access instead of three kind slices; like
+	// meta packs the per-layer mapping kinds and the TLB entry kind
+	// the mode's rule gives them, eff | gKind<<2 | hKind<<4
+	// (tlb.PackKinds), so AccessN stages one byte per access; like
 	// tlbSet it lives in padding the 64-byte layout already paid for.
 	meta uint8
 }
@@ -181,26 +179,15 @@ func (vm *VM) wcFill(gva uint64) {
 		ent.epoch = 0
 		return
 	}
-	var eff mem.PageSizeKind
-	if vm.radix {
-		eff = mem.Base
-		if gKind == mem.Huge && hKind == mem.Huge {
-			eff = mem.Huge
-		}
-	} else {
-		// Non-default modes own the entry-kind rule; the cached eff is
-		// replayed into mode.Access on every hit.
-		eff = vm.mode.EffectiveKind(gKind, hKind)
-	}
+	// The mode owns the entry-kind rule; the cached eff is replayed
+	// into the TLB charge on every hit.
+	eff := vm.mode.EffectiveKind(gKind, hKind)
 	*ent = wcEntry{
 		tag:    gva >> mem.PageShift,
 		epoch:  wc.epoch,
 		gfn:    gfn,
 		gRef:   gRef,
 		eRef:   eRef,
-		gKind:  gKind,
-		hKind:  hKind,
-		eff:    eff,
 		tlbSet: vm.TLB.SetIndexOf(gva, eff),
 		meta:   tlb.PackKinds(eff, gKind, hKind),
 	}

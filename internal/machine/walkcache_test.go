@@ -23,13 +23,20 @@ import (
 // (the most invalidation-heavy configuration: synchronous huge
 // faults, background collapse, reclaim-driven splits) and an 8 MiB
 // VMA to play in.
-func twinVM() (*machine.Machine, *machine.VM) {
+func twinVM() (*machine.Machine, *machine.VM) { return twinVMIn(nil) }
+
+// twinVMIn is twinVM in the given translation mode (nil selects the
+// default radix walk), installed before the VMA is mapped.
+func twinVMIn(mode machine.TranslationMode) (*machine.Machine, *machine.VM) {
 	const guestPages = (64 << 20) >> mem.PageShift
 	m := machine.NewMachine(guestPages*2, machine.DefaultCosts())
-	vm := m.AddVM(guestPages,
-		policy.NewTHP(policy.DefaultTHPParams()),
-		policy.NewTHP(policy.DefaultTHPParams()),
-		tlb.DefaultConfig())
+	vm := m.AddVMSetup(machine.VMSetup{
+		GuestPages:  guestPages,
+		GuestPolicy: policy.NewTHP(policy.DefaultTHPParams()),
+		HostPolicy:  policy.NewTHP(policy.DefaultTHPParams()),
+		TLB:         tlb.DefaultConfig(),
+		Translation: mode,
+	})
 	vm.Guest.Space.MMap(8<<20, 0)
 	return m, vm
 }
@@ -44,23 +51,41 @@ const fuzzSpan = (8 << 20) >> mem.PageShift
 // identical cycles and the final machines to agree on all observable
 // state. A walk cache serving one stale translation (a missed
 // version bump anywhere in pagetable's destructive ops) shows up as
-// a cycle or TLB-stat divergence.
+// a cycle or TLB-stat divergence. The first byte picks the twins'
+// translation mode (even: radix, odd: segment), since AccessN's
+// two-pass hit loop serves both; the batch op runs one AccessN of up
+// to 2048 pages on the cached twin, across the staging chunk, against
+// per-address Access on the uncached one.
 func FuzzWalkCacheInvalidation(f *testing.F) {
-	f.Add([]byte{0, 10, 1, 10, 0, 10})                          // access, promote, access
-	f.Add([]byte{0, 0, 2, 0, 0, 0})                             // access, demote, access
-	f.Add([]byte{0, 7, 3, 0, 0, 7, 0, 9})                       // unmap/remap cycle
-	f.Add([]byte{0, 1, 4, 0, 0, 1, 5, 0, 0, 2, 6, 1, 0, 3})     // ticks, reclaim, toggle
-	f.Add([]byte{0, 200, 1, 200, 4, 0, 0, 200, 2, 200, 0, 201}) // promote+tick+demote
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		mc, cached := twinVM()
-		mr, ref := twinVM()
+	f.Add([]byte{0, 0, 10, 1, 10, 0, 10})                          // access, promote, access
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 0})                             // access, demote, access
+	f.Add([]byte{0, 0, 7, 3, 0, 0, 7, 0, 9})                       // unmap/remap cycle
+	f.Add([]byte{0, 0, 1, 4, 0, 0, 1, 5, 0, 0, 2, 6, 1, 0, 3})     // ticks, reclaim, toggle
+	f.Add([]byte{0, 0, 200, 1, 200, 4, 0, 0, 200, 2, 200, 0, 201}) // promote+tick+demote
+	f.Add([]byte{0, 7, 255, 7, 255, 1, 3, 7, 200, 2, 3, 7, 255})   // batches around promote/demote
+	f.Add([]byte{1, 0, 10, 7, 255, 1, 10, 7, 255, 4, 0, 7, 128})   // segment: access, batches, tick
+	f.Add([]byte{1, 7, 255, 3, 0, 7, 255, 6, 0, 7, 100, 5, 0})     // segment: remap, re-arm, reclaim
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		newTwin := twinVM
+		if in[0]%2 == 1 {
+			newTwin = func() (*machine.Machine, *machine.VM) {
+				return twinVMIn(machine.NewSegmentTranslation())
+			}
+		}
+		ops := in[1:]
+		mc, cached := newTwin()
+		mr, ref := newTwin()
 		ref.SetWalkCacheEnabled(false)
 		base := cached.Guest.Space.VMAs()[0].Start
 		if rb := ref.Guest.Space.VMAs()[0].Start; rb != base {
 			t.Fatalf("twins diverge before any op: bases %#x vs %#x", base, rb)
 		}
+		var run []uint64
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%7, uint64(ops[i+1])
+			op, arg := ops[i]%8, uint64(ops[i+1])
 			va := base + (arg*977)%fuzzSpan*mem.PageSize
 			switch op {
 			case 0: // the probe itself: identical charge on both twins
@@ -108,6 +133,21 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 				ref.EPT.ReclaimUnderPressure(ref.EPT.Buddy.TotalPages(), 4, nil)
 			case 6: // re-arm the cached twin's cache (release + init path)
 				cached.SetWalkCacheEnabled(arg%2 == 0)
+			case 7: // one AccessN over (arg+1)*8 pages, wrapping in the span
+				start := (arg * 977) % fuzzSpan
+				run = run[:0]
+				for k := uint64(0); k < (arg+1)*8; k++ {
+					run = append(run, base+(start+k)%fuzzSpan*mem.PageSize)
+				}
+				c1 := cached.AccessN(run)
+				var c2 uint64
+				for _, gva := range run {
+					c2 += ref.Access(gva)
+				}
+				if c1 != c2 {
+					t.Fatalf("op %d: batch of %d from %#x cost %d cycles cached, %d uncached",
+						i, len(run), run[0], c1, c2)
+				}
 			}
 		}
 		s1, s2 := cached.TLB.Stats(), ref.TLB.Stats()

@@ -257,8 +257,12 @@ type engineVM struct {
 	gp    machine.Policy
 	coord sysreg.Coordinator
 
-	w            *workload.Workload
-	lat          *metrics.Histogram
+	w   *workload.Workload
+	lat *metrics.Histogram
+	// latBuf carries per-request costs out of StepN into lat; it is
+	// nil unless the VM's workload is latency-sensitive and the
+	// measure phase has begun.
+	latBuf       []uint64
 	fg, ops, acc uint64
 	bg0, migBase uint64
 }
@@ -435,17 +439,7 @@ func (e *Engine) predecessorPhase() {
 		// as the paper's ~30 GB SVM run does on a 32 GB VM.
 		spec.FootprintMB = ev.cfg.GuestMemMB * 2 / 5
 		w := workload.New(spec, ev.vm, e.predecessorSeed(i))
-		p := newPacer(e.cfg.Requests/4, e.cfg.RequestsPerTick)
-		for {
-			b, tick := p.next()
-			if b == 0 {
-				break
-			}
-			w.StepN(b, nil)
-			if tick {
-				e.rec.tick(e.m)
-			}
-		}
+		e.paced(e.cfg.Requests/4, func(b int) { w.StepN(b, nil) })
 		e.settle(predecessorSettleTicks)
 		w.Teardown()
 		ev.vm.ResetGuestProcess()
@@ -454,38 +448,66 @@ func (e *Engine) predecessorPhase() {
 }
 
 // warmupPhase creates every VM's measured workload and drives all of
-// them to steady state (huge pages formed, TLB warm), interleaving
-// one request per VM per iteration. The daemons tick densely here so
-// promotion bursts complete before measurement, as they would over a
-// long real run.
+// them to steady state (huge pages formed, TLB warm). The daemons tick
+// densely here so promotion bursts complete before measurement, as
+// they would over a long real run.
 func (e *Engine) warmupPhase() {
 	for i, ev := range e.vms {
 		ev.w = workload.New(ev.cfg.Workload, ev.vm, e.workloadSeed(i))
 		ev.migBase = ev.vm.Guest.Stats.MigratedPages + ev.vm.EPT.Stats.MigratedPages
 	}
-	p := newPacer(e.cfg.WarmupRequests, e.cfg.RequestsPerTick)
+	e.paced(e.cfg.WarmupRequests, func(b int) { e.step(b, false) })
+}
+
+// paced hands n requests to run in the pacer's batches, ticking the
+// daemons after each batch the schedule says ends on a tick.
+func (e *Engine) paced(n int, run func(b int)) {
+	p := newPacer(n, e.cfg.RequestsPerTick)
 	for {
 		b, tick := p.next()
 		if b == 0 {
-			break
+			return
 		}
-		if len(e.vms) == 1 {
-			// One VM: the whole inter-tick batch runs through the
-			// vectorized core in one call.
-			e.vms[0].w.StepN(b, nil)
-		} else {
-			// N VMs interleave one request per VM per iteration; that
-			// cross-VM order allocates host frames identically to the
-			// historic loop, so it is preserved request by request.
-			for j := 0; j < b; j++ {
-				for _, ev := range e.vms {
-					ev.w.StepOne()
-				}
-			}
-		}
+		run(b)
 		if tick {
 			e.rec.tick(e.m)
 		}
+	}
+}
+
+// step runs b requests per VM. One VM serves the whole batch in one
+// StepN call; N VMs interleave one request per VM per round, the
+// cross-VM order that decides host-frame placement.
+func (e *Engine) step(b int, measuring bool) {
+	if len(e.vms) == 1 {
+		e.vms[0].step(b, measuring)
+		return
+	}
+	for j := 0; j < b; j++ {
+		for _, ev := range e.vms {
+			ev.step(1, measuring)
+		}
+	}
+}
+
+// step runs n requests of the VM's workload and, when measuring,
+// books their ops, accesses, cycles and (for latency-sensitive
+// workloads) per-request latencies. Only latency-sensitive workloads
+// pass per-request costs, so the rest keep StepN's chunked path.
+func (ev *engineVM) step(n int, measuring bool) {
+	if !measuring {
+		ev.w.StepN(n, nil)
+		return
+	}
+	var perReq []uint64
+	if ev.latBuf != nil {
+		perReq = ev.latBuf[:n]
+	}
+	ev.fg += ev.w.StepN(n, perReq)
+	ev.ops += uint64(n)
+	ev.acc += uint64(n) * uint64(ev.cfg.Workload.RequestPages)
+	for _, c := range perReq {
+		ev.lat.Record(float64(c))
 	}
 }
 
@@ -510,60 +532,18 @@ func (e *Engine) settle(ticks int) {
 }
 
 // measurePhase resets the TLB statistics and measures every VM's
-// request stream, interleaved one request per VM per iteration.
+// request stream.
 func (e *Engine) measurePhase() {
 	for _, ev := range e.vms {
 		ev.vm.TLB.ResetStats()
-	}
-	for _, ev := range e.vms {
 		ev.lat = metrics.NewHistogram()
 		ev.bg0 = ev.vm.Guest.Stats.BackgroundCycles + ev.vm.EPT.Stats.BackgroundCycles
-	}
-	single := len(e.vms) == 1
-	var latBuf []uint64
-	if single && e.vms[0].cfg.Workload.LatencySensitive {
-		// Batches never exceed the tick stride; one reusable buffer
-		// carries per-request costs out of StepN for the histogram.
-		latBuf = make([]uint64, e.cfg.RequestsPerTick)
-	}
-	p := newPacer(e.cfg.Requests, e.cfg.RequestsPerTick)
-	for {
-		b, tick := p.next()
-		if b == 0 {
-			break
-		}
-		if single {
-			ev := e.vms[0]
-			if latBuf != nil {
-				ev.fg += ev.w.StepN(b, latBuf[:b])
-				for _, c := range latBuf[:b] {
-					ev.lat.Record(float64(c))
-				}
-			} else {
-				ev.fg += ev.w.StepN(b, nil)
-			}
-			ev.ops += uint64(b)
-			ev.acc += uint64(b) * uint64(ev.cfg.Workload.RequestPages)
-		} else {
-			for j := 0; j < b; j++ {
-				for _, ev := range e.vms {
-					// One request per VM per iteration, via the
-					// allocation-free StepOne (Step(1) would build a
-					// StepStats with a Latencies slice per request).
-					c := ev.w.StepOne()
-					ev.fg += c
-					ev.ops++
-					ev.acc += uint64(ev.cfg.Workload.RequestPages)
-					if ev.cfg.Workload.LatencySensitive {
-						ev.lat.Record(float64(c))
-					}
-				}
-			}
-		}
-		if tick {
-			e.rec.tick(e.m)
+		if ev.cfg.Workload.LatencySensitive {
+			// Batches never exceed the tick stride.
+			ev.latBuf = make([]uint64, e.cfg.RequestsPerTick)
 		}
 	}
+	e.paced(e.cfg.Requests, func(b int) { e.step(b, true) })
 }
 
 // safeDiv returns a/b, or 0 when b is 0. The per-request rates divide

@@ -72,8 +72,8 @@ func RunMicro(mc MicroConfig) MicroResult {
 	spec := workload.Micro(mc.DatasetMB)
 	w := workload.New(spec, vm, mc.Seed+1)
 	// Warm the TLB on the steady-state mappings. Both loops run
-	// through the vectorized StepN core — this path is tickless, so
-	// all of MicroSweep's speed comes from request batching.
+	// through StepN's multi-request chunks — this path is tickless,
+	// so all of MicroSweep's speed comes from request batching.
 	w.StepN(mc.Accesses/4/spec.RequestPages, nil)
 	vm.TLB.ResetStats()
 	// ceil(Accesses / RequestPages) requests, exactly as the historic

@@ -127,9 +127,9 @@ type TLB struct {
 	pwcHost  []uint64
 
 	// setsDiv and pwcDiv are precomputed reciprocals for the set-index
-	// and walk-cache modulos, used only by the fused batch kernel
-	// (AccessNestedFast). The scalar paths keep the plain arithmetic so
-	// the unbatched baseline stays the historic code.
+	// and walk-cache modulos, used only by the batch kernel
+	// (AccessNestedBatch). The per-access paths keep the plain
+	// arithmetic, so the kernel's test reference stays independent.
 	setsDiv fastdiv.Divisor
 	pwcDiv  fastdiv.Divisor
 }
@@ -409,15 +409,16 @@ func PackKinds(eff, gk, hk mem.PageSizeKind) uint8 {
 // TestAccessNestedBatchMatchesReference pins across geometries,
 // including non-power-of-two set counts and walk-cache sizes.
 //
-// The batch form is why the vectorized access path is fast: across a
+// The batch form is why the access path is fast: across a
 // whole batch the kernel touches only the TLB arrays (24 KiB of ways
 // plus two small walk caches), so they stay cache-resident instead of
 // being evicted between accesses by the simulator's larger
 // structures; the clock and the victim scan's running minimum live in
 // registers; and the set-index and walk-cache modulos use precomputed
-// reciprocal multiplies (fastdiv) instead of hardware division. The
-// scalar path keeps AccessNested so benchmarks of the unbatched
-// baseline measure the historic code.
+// reciprocal multiplies (fastdiv) instead of hardware division.
+// AccessNested is the per-access form: the machine layer's walk-cache
+// miss path charges through it, and it is the reference this kernel
+// is tested against.
 func (t *TLB) AccessNestedBatch(vas, gpas []uint64, sis []uint32, metas []uint8) uint64 {
 	w := t.cfg.Ways
 	hitCycles := t.cfg.HitCycles

@@ -31,25 +31,6 @@ import (
 	"repro/internal/mem"
 )
 
-// vectorize selects the batched draw/access core (StepN chunking, the
-// replicated-RNG fast draws, machine.VM.AccessN) over the scalar
-// reference path. Both paths consume the math/rand stream identically
-// and perform the same simulated accesses in the same order, so every
-// result is bit-identical either way; only wall time differs. The
-// toggle exists so hotbench can measure the scalar baseline honestly
-// (MicroSweepScalar) and so TestStepNMatchesScalar can cross-check the
-// replicated draws against math/rand itself. Not safe to flip while
-// workloads are running.
-var vectorize = true
-
-// SetVectorized toggles the batched core and returns the previous
-// setting. Benchmarks and equivalence tests only.
-func SetVectorized(on bool) bool {
-	prev := vectorize
-	vectorize = on
-	return prev
-}
-
 // Pattern is an access distribution.
 type Pattern int
 
@@ -272,18 +253,6 @@ func Micro(footprintMB int) Spec {
 		ServiceCycles: 0, TLBSensitive: true}
 }
 
-// StepStats reports one measurement step.
-type StepStats struct {
-	// Ops is the number of requests completed.
-	Ops uint64
-	// Cycles is the foreground cycles consumed (memory accesses,
-	// faults, stalls, and request service time).
-	Cycles uint64
-	// Latencies holds per-request cycle counts for latency-sensitive
-	// specs (nil otherwise).
-	Latencies []float64
-}
-
 // Workload is a running instance of a Spec bound to a VM.
 type Workload struct {
 	Spec
@@ -302,7 +271,7 @@ type Workload struct {
 	// per VMA churn event, which is orders of magnitude rarer.
 	addrs []uint64
 
-	// Cached draw-confinement state for the batched core: lim is the
+	// Cached draw-confinement state for drawInto: lim is the
 	// last limit the draws were confined to, limDiv its reciprocal,
 	// uniMax the Int63n rejection threshold for it. Recomputed only
 	// when the touched frontier moves (never for Static specs after
@@ -361,29 +330,17 @@ func New(spec Spec, vm *machine.VM, seed int64) *Workload {
 // populate touches every page once (sequential first-touch).
 func (w *Workload) populate() { w.growTo(w.totalPages) }
 
-// growTo extends the touched frontier to n pages. First-touch order is
-// ascending page index either way; the batched path hands the
-// contiguous addrs window to AccessN in one call.
+// growTo extends the touched frontier to n pages, first-touching the
+// new pages in ascending index order with one AccessN over the
+// contiguous addrs window.
 func (w *Workload) growTo(n uint64) {
 	if n > w.totalPages {
 		n = w.totalPages
 	}
-	if vectorize {
-		if w.touched < n {
-			w.vm.AccessN(w.addrs[w.touched:n])
-			w.touched = n
-		}
-		return
+	if w.touched < n {
+		w.vm.AccessN(w.addrs[w.touched:n])
+		w.touched = n
 	}
-	for ; w.touched < n; w.touched++ {
-		w.vm.Access(w.addrOf(w.touched))
-	}
-}
-
-// addrOf maps a footprint page index to a guest virtual address via
-// the precomputed table (see rebuildAddrs).
-func (w *Workload) addrOf(page uint64) uint64 {
-	return w.addrs[page]
 }
 
 // rebuildAddrs recomputes the page-index -> VA table from the current
@@ -399,29 +356,6 @@ func (w *Workload) rebuildAddrs() {
 	}
 }
 
-// nextPage draws a page index from the access distribution, confined
-// to the touched frontier.
-func (w *Workload) nextPage() uint64 {
-	limit := w.touched
-	if limit == 0 {
-		limit = 1
-	}
-	switch w.Access {
-	case Uniform:
-		return uint64(w.rng.Int63n(int64(limit)))
-	case Zipf:
-		return w.zipf.Uint64() % limit
-	case Sequential:
-		w.seqCursor++
-		return w.seqCursor % limit
-	default: // Mixed
-		if w.rng.Intn(2) == 0 {
-			return w.zipf.Uint64() % limit
-		}
-		return uint64(w.rng.Int63n(int64(limit)))
-	}
-}
-
 // recacheLimit rebuilds the confinement state for a new draw limit:
 // the reciprocal for the `% limit` folds and the rejection threshold
 // math/rand.Int63n would use for the same limit (max = 2^63-1 -
@@ -434,10 +368,13 @@ func (w *Workload) recacheLimit(limit uint64) {
 }
 
 // drawInto fills dst with page indexes from the access distribution,
-// confined to the touched frontier — the batched twin of nextPage. The
-// per-draw pattern switch and limit recheck are hoisted out of the
-// loop, and the `% limit` folds go through the cached reciprocal.
-// math/rand replication notes, per pattern:
+// confined to the touched frontier. Each draw is what the math/rand
+// call for its pattern (Int63n(limit), zipf.Uint64() % limit, ...)
+// would return, from the same Int63 stream — TestDrawIntoMatchesNextPage
+// holds it to that reference. The per-draw pattern switch and limit
+// recheck are hoisted out of the loop, and the `% limit` folds go
+// through the cached reciprocal. math/rand replication notes, per
+// pattern:
 //
 //   - Uniform: Int63n(n) masks for power-of-two n and otherwise
 //     rejection-samples Int63 above uniMax before one `% n`;
@@ -505,36 +442,34 @@ func (w *Workload) churn() {
 	off := uint64(w.rng.Intn(mem.PagesPerHuge))
 	w.vmas[i] = w.vm.Guest.Space.MMap(w.vmaPages*mem.PageSize, off)
 	w.rebuildAddrs()
-	// Repopulate the replacement up to the frontier share.
+	// Repopulate the replacement up to the frontier share. VMA i's
+	// pages are the addrs window starting at page i*vmaPages; with
+	// fewer footprint pages than VMAs that start can lie past the
+	// table, but then the share is zero.
 	share := w.touched / uint64(len(w.vmas))
-	for p := uint64(0); p < share && p < w.vmaPages; p++ {
-		w.vm.Access(w.vmas[i].Start + p*mem.PageSize)
+	if share == 0 {
+		return
 	}
+	if share > w.vmaPages {
+		share = w.vmaPages
+	}
+	lo := uint64(i) * w.vmaPages
+	w.vm.AccessN(w.addrs[lo : lo+share])
 }
 
 // StepOne runs a single request — RequestPages accesses plus the
-// gradual-growth/churn bookkeeping — and returns its cycle cost. This
-// is the allocation-free per-request entry point the simulation engine
-// drives (Step's StepStats forces a Latencies slice per call); the RNG
-// consumption is identical to one iteration of Step.
+// gradual-growth/churn bookkeeping — and returns its cycle cost,
+// without allocating. All page draws for the request come first (the
+// RNG stream is untouched by accesses, so draw-then-access order
+// equals interleaved order), then one AccessN over the translated
+// addresses.
 func (w *Workload) StepOne() uint64 {
-	if vectorize {
-		return w.stepBatched()
-	}
 	reqCycles := w.ServiceCycles
-	for a := 0; a < w.RequestPages; a++ {
-		page := w.nextPage()
-		reqCycles += w.vm.Access(w.addrs[page])
+	if w.RequestPages > 0 {
+		reqCycles += w.accessDrawn(w.RequestPages)
 	}
-	w.stepTail()
-	return reqCycles
-}
-
-// stepTail is the post-request bookkeeping shared by the scalar and
-// batched request paths: gradual footprint growth and VMA churn.
-func (w *Workload) stepTail() {
 	if w.Style != Gradual {
-		return
+		return reqCycles
 	}
 	// Grow ~one page per request until the footprint is full.
 	if w.touched < w.totalPages {
@@ -543,52 +478,25 @@ func (w *Workload) stepTail() {
 	if w.ChurnRate > 0 && w.rng.Float64() < w.ChurnRate/100 {
 		w.churn()
 	}
-}
-
-// stepBatched is one request through the batched core: all page draws
-// for the request up front (the RNG stream is untouched by accesses,
-// so draw-then-access order matches nextPage-interleaved order), then
-// one AccessN over the translated addresses.
-func (w *Workload) stepBatched() uint64 {
-	reqCycles := w.ServiceCycles
-	if k := w.RequestPages; k > 0 {
-		w.drawInto(w.pageBuf[:k])
-		for i, p := range w.pageBuf[:k] {
-			w.addrBuf[i] = w.addrs[p]
-		}
-		reqCycles += w.vm.AccessN(w.addrBuf[:k])
-	}
-	w.stepTail()
 	return reqCycles
 }
 
-// StepN runs n requests and returns their total cycle cost — the
-// vectorized bulk entry point the engine, fleet, and Figure 2 micro
-// loops drive between tick boundaries. If perReq is non-nil it must
-// have length >= n and receives each request's individual cost
-// (latency-sensitive measurement); otherwise Static specs drain in
-// multi-request chunks sized to the draw buffers, which keeps the TLB
-// probe + walk-cache loop hot and amortizes the per-request call
-// overhead. The RNG stream, access order, and simulated cycle charges
-// are identical to n sequential StepOne calls (TestStepNMatchesStepOne).
+// StepN runs n requests and returns their total cycle cost — the bulk
+// entry point the engine, fleet, and Figure 2 micro loops drive
+// between tick boundaries. If perReq is non-nil it must have length
+// >= n and receives each request's individual cost (latency-sensitive
+// measurement); otherwise Static specs drain in multi-request chunks
+// sized to the draw buffers, which keeps the TLB probe + walk-cache
+// loop hot and amortizes the per-request call overhead. The RNG
+// stream, access order, and simulated cycle charges are identical to
+// n sequential StepOne calls (TestStepNMatchesStepOne).
 func (w *Workload) StepN(n int, perReq []uint64) uint64 {
 	var total uint64
-	if !vectorize {
-		for i := 0; i < n; i++ {
-			c := w.StepOne()
-			if perReq != nil {
-				perReq[i] = c
-			}
-			total += c
-		}
-		return total
-	}
 	if w.Style == Gradual || perReq != nil || w.RequestPages <= 0 {
 		// Per-request bookkeeping (growth/churn or latency capture)
-		// needs request granularity; each request still batches its
-		// accesses through AccessN.
+		// needs request granularity.
 		for i := 0; i < n; i++ {
-			c := w.stepBatched()
+			c := w.StepOne()
 			if perReq != nil {
 				perReq[i] = c
 			}
@@ -602,32 +510,20 @@ func (w *Workload) StepN(n int, perReq []uint64) uint64 {
 		if reqs > perChunk {
 			reqs = perChunk
 		}
-		k := reqs * w.RequestPages
-		w.drawInto(w.pageBuf[:k])
-		for i, p := range w.pageBuf[:k] {
-			w.addrBuf[i] = w.addrs[p]
-		}
-		total += w.vm.AccessN(w.addrBuf[:k]) + uint64(reqs)*w.ServiceCycles
+		total += w.accessDrawn(reqs*w.RequestPages) + uint64(reqs)*w.ServiceCycles
 		n -= reqs
 	}
 	return total
 }
 
-// Step runs the given number of requests and reports their cost.
-func (w *Workload) Step(requests int) StepStats {
-	var st StepStats
-	if w.LatencySensitive {
-		st.Latencies = make([]float64, 0, requests)
+// accessDrawn draws k pages (k <= len(pageBuf)), translates them, and
+// runs them through one AccessN, returning its cycles.
+func (w *Workload) accessDrawn(k int) uint64 {
+	w.drawInto(w.pageBuf[:k])
+	for i, p := range w.pageBuf[:k] {
+		w.addrBuf[i] = w.addrs[p]
 	}
-	for r := 0; r < requests; r++ {
-		reqCycles := w.StepOne()
-		st.Ops++
-		st.Cycles += reqCycles
-		if w.LatencySensitive {
-			st.Latencies = append(st.Latencies, float64(reqCycles))
-		}
-	}
-	return st
+	return w.vm.AccessN(w.addrBuf[:k])
 }
 
 // Teardown unmaps the workload's VMAs (process exit).

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/machine"
@@ -88,7 +89,7 @@ func TestGradualGrows(t *testing.T) {
 		t.Fatalf("gradual started fully populated: %d", start)
 	}
 	for i := 0; i < 50; i++ {
-		w.Step(20)
+		w.StepN(20, nil)
 	}
 	if w.Touched() <= start {
 		t.Fatal("gradual never grew")
@@ -96,38 +97,40 @@ func TestGradualGrows(t *testing.T) {
 }
 
 func TestStepStats(t *testing.T) {
-	vm := newVM(t, 256)
 	spec := Masstree()
 	spec.FootprintMB = 16
-	w := New(spec, vm, 3)
-	st := w.Step(10)
-	if st.Ops != 10 {
-		t.Fatalf("Ops = %d", st.Ops)
-	}
-	if st.Cycles < 10*spec.ServiceCycles {
-		t.Fatalf("Cycles = %d below service floor", st.Cycles)
-	}
-	if len(st.Latencies) != 10 {
-		t.Fatalf("Latencies = %d", len(st.Latencies))
-	}
-	for _, l := range st.Latencies {
-		if l < float64(spec.ServiceCycles) {
-			t.Fatalf("latency %v below service time", l)
+	for _, perReq := range [][]uint64{nil, make([]uint64, 10)} {
+		w := New(spec, newVM(t, 256), 3)
+		total := w.StepN(10, perReq)
+		if total < 10*spec.ServiceCycles {
+			t.Fatalf("total %d cycles below service floor", total)
+		}
+		var sum uint64
+		for _, c := range perReq {
+			if c < spec.ServiceCycles {
+				t.Fatalf("latency %d below service time", c)
+			}
+			sum += c
+		}
+		if perReq != nil && sum != total {
+			t.Fatalf("per-request costs sum to %d, total %d", sum, total)
 		}
 	}
 }
 
 func TestThroughputWorkloadNoLatencies(t *testing.T) {
-	vm := newVM(t, 256)
 	spec := Canneal()
 	spec.FootprintMB = 16
-	w := New(spec, vm, 4)
-	st := w.Step(5)
-	if st.Latencies != nil {
-		t.Fatal("throughput workload recorded latencies")
+	bulk := New(spec, newVM(t, 256), 4).StepN(5, nil)
+	perReq := make([]uint64, 5)
+	per := New(spec, newVM(t, 256), 4).StepN(5, perReq)
+	if bulk != per {
+		t.Fatalf("bulk %d cycles, per-request %d", bulk, per)
 	}
-	if st.Ops != 5 {
-		t.Fatalf("Ops = %d", st.Ops)
+	for _, c := range perReq {
+		if c < spec.ServiceCycles {
+			t.Fatalf("request cost %d below service time", c)
+		}
 	}
 }
 
@@ -140,7 +143,7 @@ func TestChurnRemapsVMAs(t *testing.T) {
 	before := make([]*machine.VMA, len(w.vmas))
 	copy(before, w.vmas)
 	for i := 0; i < 60; i++ {
-		w.Step(10)
+		w.StepN(10, nil)
 	}
 	changed := false
 	for i := range before {
@@ -159,13 +162,11 @@ func TestDeterminism(t *testing.T) {
 		spec := RocksDB()
 		spec.FootprintMB = 32
 		w := New(spec, vm, 42)
-		var cycles, ops uint64
+		var cycles uint64
 		for i := 0; i < 20; i++ {
-			st := w.Step(10)
-			cycles += st.Cycles
-			ops += st.Ops
+			cycles += w.StepN(10, nil)
 		}
-		return cycles, ops
+		return cycles, w.Touched()
 	}
 	c1, o1 := runOnce()
 	c2, o2 := runOnce()
@@ -196,8 +197,8 @@ func TestAccessDistributions(t *testing.T) {
 		w := New(spec, vm, 7)
 		// All drawn pages must be inside the footprint.
 		for i := 0; i < 1000; i++ {
-			p := w.nextPage()
-			if p >= spec.Pages() {
+			w.drawInto(w.pageBuf[:1])
+			if p := w.pageBuf[0]; p >= spec.Pages() {
 				t.Fatalf("pattern %d: page %d out of range", pat, p)
 			}
 		}
@@ -211,8 +212,10 @@ func TestZipfIsSkewed(t *testing.T) {
 	w := New(spec, vm, 8)
 	counts := map[uint64]int{}
 	const draws = 20000
-	for i := 0; i < draws; i++ {
-		counts[w.nextPage()]++
+	drawn := make([]uint64, draws)
+	w.drawInto(drawn)
+	for _, p := range drawn {
+		counts[p]++
 	}
 	// The hottest 1% of pages should absorb a large share.
 	hot := 0
@@ -231,20 +234,112 @@ func TestTinyFootprintManyVMAs(t *testing.T) {
 	spec := Micro(1)
 	spec.VMACount = 8
 	w := New(spec, vm, 9)
-	w.Step(5) // must not panic
+	w.StepN(5, nil) // must not panic
 }
 
-// TestStepNMatchesStepOne is the vectorization equivalence property
-// promised in the StepN contract: for every Table 2 workload spec plus
-// the Figure 2 micro spec — covering Static and Gradual styles and
-// every access pattern — n requests through the batched StepN core
+// nextPage is the math/rand reference for drawInto: one page index
+// from the access distribution, confined to the touched frontier, via
+// the plain math/rand calls.
+func (w *Workload) nextPage() uint64 {
+	limit := w.touched
+	if limit == 0 {
+		limit = 1
+	}
+	switch w.Access {
+	case Uniform:
+		return uint64(w.rng.Int63n(int64(limit)))
+	case Zipf:
+		return w.zipf.Uint64() % limit
+	case Sequential:
+		w.seqCursor++
+		return w.seqCursor % limit
+	default: // Mixed
+		if w.rng.Intn(2) == 0 {
+			return w.zipf.Uint64() % limit
+		}
+		return uint64(w.rng.Int63n(int64(limit)))
+	}
+}
+
+// refStepOne is the reference request StepOne must reproduce: page
+// draws through nextPage, one Access per page, and per-page growth
+// and churn repopulation.
+func (w *Workload) refStepOne() uint64 {
+	reqCycles := w.ServiceCycles
+	for a := 0; a < w.RequestPages; a++ {
+		reqCycles += w.vm.Access(w.addrs[w.nextPage()])
+	}
+	if w.Style != Gradual {
+		return reqCycles
+	}
+	for n := min(w.touched+2, w.totalPages); w.touched < n; w.touched++ {
+		w.vm.Access(w.addrs[w.touched])
+	}
+	if w.ChurnRate > 0 && w.rng.Float64() < w.ChurnRate/100 {
+		i := w.rng.Intn(len(w.vmas))
+		w.vm.Guest.UnmapVMA(w.vmas[i])
+		off := uint64(w.rng.Intn(mem.PagesPerHuge))
+		w.vmas[i] = w.vm.Guest.Space.MMap(w.vmaPages*mem.PageSize, off)
+		w.rebuildAddrs()
+		share := w.touched / uint64(len(w.vmas))
+		for p := uint64(0); p < share && p < w.vmaPages; p++ {
+			w.vm.Access(w.vmas[i].Start + p*mem.PageSize)
+		}
+	}
+	return reqCycles
+}
+
+// TestDrawIntoMatchesNextPage holds drawInto's replicated draws to the
+// math/rand calls they stand in for: for every pattern and a spread of
+// limits (1, powers of two, odd sizes, and 3·2^61, where Int63n
+// rejects a quarter of its draws), twin workloads drawing through
+// drawInto and nextPage produce the same page sequence and leave the
+// RNG at the same next Int63.
+func TestDrawIntoMatchesNextPage(t *testing.T) {
+	const pages = 1 << 20
+	twin := func(pat Pattern, limit uint64) *Workload {
+		w := &Workload{Spec: Spec{Access: pat}, rng: rand.New(rand.NewSource(11)),
+			totalPages: pages, touched: limit}
+		w.zipf = rand.NewZipf(w.rng, 1.1, 64, pages-1)
+		return w
+	}
+	for _, pat := range []Pattern{Uniform, Zipf, Sequential, Mixed} {
+		for _, limit := range []uint64{1, 2, 3, 4096, 4097, 1<<20 - 1, 3 << 61} {
+			batched, ref := twin(pat, limit), twin(pat, limit)
+			for _, k := range []int{1, 7, 2048} {
+				got := make([]uint64, k)
+				batched.drawInto(got)
+				for i, p := range got {
+					if want := ref.nextPage(); p != want {
+						t.Fatalf("pattern %d limit %d batch %d draw %d: drawInto %d, nextPage %d",
+							pat, limit, k, i, p, want)
+					}
+				}
+			}
+			if b, r := batched.rng.Int63(), ref.rng.Int63(); b != r {
+				t.Fatalf("pattern %d limit %d: next Int63 %d after drawInto, %d after nextPage",
+					pat, limit, b, r)
+			}
+		}
+	}
+}
+
+// TestStepNMatchesStepOne is the access-path equivalence property
+// promised in the StepN contract: for every Table 2 workload spec, the
+// Figure 2 micro spec and two churn-heavy Gradual specs — covering
+// Static and Gradual styles and every access pattern — n requests
+// through StepN (bulk and per-request) and through a StepOne loop
 // consume the identical RNG stream and charge the identical cycles as
-// n sequential scalar StepOne calls, leaving the frontier and the
-// VM's TLB in bit-identical state. Both the bulk (nil perReq) and
-// latency-capturing (non-nil perReq) StepN paths are checked.
+// refStepOne on an uncached twin, leaving the frontier and the VM's
+// TLB in bit-identical state.
 func TestStepNMatchesStepOne(t *testing.T) {
-	specs := append(Table2(), Micro(8))
-	defer SetVectorized(SetVectorized(true))
+	// churn remaps a VMA every few requests; tiny-churn has more VMAs
+	// than footprint pages, so every churn repopulates nothing.
+	churn := Redis()
+	churn.Name, churn.ChurnRate = "churn", 5
+	tiny := Redis()
+	tiny.Name, tiny.FootprintMB, tiny.VMACount, tiny.ChurnRate = "tiny-churn", 1, 512, 5
+	specs := append(Table2(), Micro(8), churn, tiny)
 	for _, spec := range specs {
 		spec := spec
 		if spec.FootprintMB > 64 {
@@ -253,16 +348,15 @@ func TestStepNMatchesStepOne(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			const reqs = 300
 
-			vmScalar := newVM(t, 192)
-			wScalar := New(spec, vmScalar, 42)
-			SetVectorized(false)
-			var scalarTotal uint64
-			scalarPer := make([]uint64, reqs)
-			for i := 0; i < reqs; i++ {
-				scalarPer[i] = wScalar.StepOne()
-				scalarTotal += scalarPer[i]
+			vmRef := newVM(t, 192)
+			vmRef.SetWalkCacheEnabled(false)
+			wRef := New(spec, vmRef, 42)
+			var refTotal uint64
+			refPer := make([]uint64, reqs)
+			for i := range refPer {
+				refPer[i] = wRef.refStepOne()
+				refTotal += refPer[i]
 			}
-			SetVectorized(true)
 
 			vmBulk := newVM(t, 192)
 			wBulk := New(spec, vmBulk, 42)
@@ -273,26 +367,35 @@ func TestStepNMatchesStepOne(t *testing.T) {
 			perReq := make([]uint64, reqs)
 			perTotal := wPer.StepN(reqs, perReq)
 
-			if bulkTotal != scalarTotal || perTotal != scalarTotal {
-				t.Fatalf("cycles: bulk %d, perReq %d, scalar %d",
-					bulkTotal, perTotal, scalarTotal)
+			vmOne := newVM(t, 192)
+			wOne := New(spec, vmOne, 42)
+			oneReq := make([]uint64, reqs)
+			for i := range oneReq {
+				oneReq[i] = wOne.StepOne()
 			}
-			for i := range perReq {
-				if perReq[i] != scalarPer[i] {
-					t.Fatalf("request %d: perReq %d != scalar %d", i, perReq[i], scalarPer[i])
+
+			if bulkTotal != refTotal || perTotal != refTotal {
+				t.Fatalf("cycles: bulk %d, perReq %d, reference %d",
+					bulkTotal, perTotal, refTotal)
+			}
+			for i := range refPer {
+				if perReq[i] != refPer[i] || oneReq[i] != refPer[i] {
+					t.Fatalf("request %d: perReq %d, StepOne %d, reference %d",
+						i, perReq[i], oneReq[i], refPer[i])
 				}
 			}
-			if wBulk.Touched() != wScalar.Touched() || wPer.Touched() != wScalar.Touched() {
-				t.Fatalf("frontier: bulk %d, perReq %d, scalar %d",
-					wBulk.Touched(), wPer.Touched(), wScalar.Touched())
-			}
-			if vmBulk.TLB.Stats() != vmScalar.TLB.Stats() {
-				t.Fatalf("TLB stats diverged\nbulk:   %+v\nscalar: %+v",
-					vmBulk.TLB.Stats(), vmScalar.TLB.Stats())
-			}
-			if vmPer.TLB.Stats() != vmScalar.TLB.Stats() {
-				t.Fatalf("perReq TLB stats diverged\nper:    %+v\nscalar: %+v",
-					vmPer.TLB.Stats(), vmScalar.TLB.Stats())
+			refNext := wRef.rng.Int63()
+			for name, w := range map[string]*Workload{"bulk": wBulk, "perReq": wPer, "StepOne": wOne} {
+				if w.Touched() != wRef.Touched() {
+					t.Fatalf("%s frontier %d, reference %d", name, w.Touched(), wRef.Touched())
+				}
+				if w.vm.TLB.Stats() != vmRef.TLB.Stats() {
+					t.Fatalf("%s TLB stats diverged\n%s: %+v\nref: %+v",
+						name, name, w.vm.TLB.Stats(), vmRef.TLB.Stats())
+				}
+				if next := w.rng.Int63(); next != refNext {
+					t.Fatalf("%s RNG diverged: next Int63 %d, reference %d", name, next, refNext)
+				}
 			}
 		})
 	}
