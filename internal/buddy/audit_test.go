@@ -59,10 +59,11 @@ func freeSingleton(t *testing.T, a *Allocator) (even, odd uint64) {
 func TestAuditCatchesLeakedFrame(t *testing.T) {
 	a := mutatedAllocator(t)
 	f, _ := freeSingleton(t, a)
-	// Drop the free block from the free books (order array and index)
-	// without adjusting the counters: a frame leak.
+	// Drop the free block from the free books (order array, index and
+	// free-frame bitmap) without adjusting the counters: a frame leak.
 	a.freeOrd[f] = -1
 	a.index[0].clear(f)
+	a.markFrames(f, 0, false)
 	expectViolations(t, a.CheckInvariants(),
 		"conservation", "free-count", "fmfi-recompute")
 }
@@ -154,6 +155,42 @@ func TestAuditCatchesFreeIndexDrift(t *testing.T) {
 			}
 			c.mutate(a, free, used)
 			expectViolations(t, a.CheckInvariants(), "free-index")
+		})
+	}
+}
+
+// TestAuditCatchesFreeFrameDrift breaks the free-frame bitmap on its
+// own and expects the "free-frames" invariant, and nothing else: a
+// stale bit for an allocated frame (FreeRegions would report a run
+// through it), a cleared bit inside a free block (a run would be cut
+// short or missed), and a set padding bit past the last frame (a run
+// would extend off the end).
+func TestAuditCatchesFreeFrameDrift(t *testing.T) {
+	cases := []struct {
+		name   string
+		total  uint64
+		mutate func(a *Allocator, free, used uint64)
+	}{
+		{"stale-set-bit", 16 * 1024, func(a *Allocator, _, used uint64) { a.frames[used>>6] |= 1 << (used & 63) }},
+		{"cleared-live-bit", 16 * 1024, func(a *Allocator, free, _ uint64) { a.frames[free>>6] &^= 1 << (free & 63) }},
+		{"padding-bit", 16*1024 + 70, func(a *Allocator, _, _ uint64) {
+			a.frames[len(a.frames)-1] |= 1 << 63
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := New(c.total)
+			for i := 0; i < 40; i++ {
+				if _, err := a.Alloc(i % 4); err != nil {
+					t.Fatal(err)
+				}
+			}
+			free, used := freeSingleton(t, a)
+			if vs := a.CheckInvariants(); len(vs) != 0 {
+				t.Fatalf("baseline not clean: %s", audit.Report(vs))
+			}
+			c.mutate(a, free, used)
+			expectViolations(t, a.CheckInvariants(), "free-frames")
 		})
 	}
 }

@@ -22,6 +22,11 @@
 // runs reproducible and mimics the anti-fragmentation benefit of
 // packing small allocations low (§5, "Gemini contiguity list").
 //
+// The allocator also keeps a free-frame bitmap, updated by Alloc,
+// AllocAt and Free, so the maximal free runs that feed the §5
+// contiguity list are a bounded word scan (FreeRegions) into a buffer
+// the caller owns, not a rebuild over every frame.
+//
 // See DESIGN.md §2 (system inventory) for the allocator's role and
 // DESIGN.md §7 (performance model) for the flat free-book layout the
 // hot path depends on.
@@ -30,6 +35,7 @@ package buddy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/audit"
@@ -146,14 +152,16 @@ type Allocator struct {
 	// counts[o] is the number of live free blocks at order o.
 	counts [NumOrders]uint64
 
+	// frames is the free-frame bitmap: bit f is set exactly when
+	// frame f lies inside a free block, and the padding bits past
+	// totalPages stay clear. Only Alloc, AllocAt and Free change
+	// whether a frame is free, so only they write it; splits and
+	// merges move frames between free blocks and leave it alone.
+	// FreeRegions and FrameFree read it.
+	frames []uint64
+
 	// reservations maps huge index -> active reservation.
 	reservations map[uint64]*Reservation
-
-	// epoch increments on every free-list mutation; FreeRegions
-	// results are cached against it.
-	epoch        uint64
-	regionsEpoch uint64
-	regionsCache []mem.Region
 }
 
 // New creates an allocator managing totalPages base frames, all free.
@@ -161,10 +169,17 @@ func New(totalPages uint64) *Allocator {
 	a := &Allocator{
 		totalPages:   totalPages,
 		freeOrd:      make([]int8, totalPages),
+		frames:       make([]uint64, (totalPages+63)/64),
 		reservations: make(map[uint64]*Reservation),
 	}
 	for i := range a.freeOrd {
 		a.freeOrd[i] = -1
+	}
+	for i := range a.frames {
+		a.frames[i] = ^uint64(0)
+	}
+	if tail := totalPages & 63; tail != 0 {
+		a.frames[len(a.frames)-1] = 1<<tail - 1
 	}
 	// One backing array holds every order's bitmap and summary.
 	var words [NumOrders]int
@@ -216,7 +231,6 @@ func (a *Allocator) FreeBlockCount(order int) uint64 {
 func (a *Allocator) insertFree(start uint64, order uint8) {
 	a.freeOrd[start] = int8(order)
 	a.counts[order]++
-	a.epoch++
 	a.index[order].set(start >> order)
 }
 
@@ -224,7 +238,6 @@ func (a *Allocator) insertFree(start uint64, order uint8) {
 func (a *Allocator) removeFree(start uint64, order uint8) {
 	a.freeOrd[start] = -1
 	a.counts[order]--
-	a.epoch++
 	a.index[order].clear(start >> order)
 }
 
@@ -238,6 +251,31 @@ func (a *Allocator) popLowest(order int) (uint64, bool) {
 	start := b << order
 	a.removeFree(start, uint8(order))
 	return start, true
+}
+
+// markFrames sets (free) or clears the free-frame bits of the
+// naturally aligned block [start, start+2^order). A block of order 6
+// or less lies inside one bitmap word and costs one read-modify-write;
+// a larger block covers whole words.
+func (a *Allocator) markFrames(start uint64, order int, free bool) {
+	size := uint64(1) << uint(order)
+	if size <= 64 {
+		mask := ^uint64(0) >> (64 - size) << (start & 63)
+		if free {
+			a.frames[start>>6] |= mask
+		} else {
+			a.frames[start>>6] &^= mask
+		}
+		return
+	}
+	var fill uint64
+	if free {
+		fill = ^uint64(0)
+	}
+	words := a.frames[start>>6 : (start+size)>>6]
+	for i := range words {
+		words[i] = fill
+	}
 }
 
 // Alloc allocates a block of 2^order frames and returns its first
@@ -258,6 +296,7 @@ func (a *Allocator) Alloc(order int) (uint64, error) {
 			a.insertFree(start+half, uint8(cur-1))
 		}
 		a.freePages -= uint64(1) << order
+		a.markFrames(start, order, false)
 		return start, nil
 	}
 	return 0, ErrNoMemory
@@ -310,6 +349,7 @@ func (a *Allocator) AllocAt(frame uint64, order int) error {
 		}
 	}
 	a.freePages -= size
+	a.markFrames(frame, order, false)
 	return nil
 }
 
@@ -335,16 +375,7 @@ func (a *Allocator) IsFree(frame uint64, order int) bool {
 // auditor uses it to detect frames that are simultaneously mapped and
 // free (a use-after-free or leak in the making).
 func (a *Allocator) FrameFree(frame uint64) bool {
-	if frame >= a.totalPages {
-		return false
-	}
-	for o := 0; o <= MaxOrder; o++ {
-		start := frame &^ ((uint64(1) << o) - 1)
-		if a.freeOrd[start] == int8(o) {
-			return true
-		}
-	}
-	return false
+	return frame < a.totalPages && a.frames[frame>>6]&(1<<(frame&63)) != 0
 }
 
 // Free returns the block [frame, frame+2^order) to the allocator,
@@ -360,7 +391,7 @@ func (a *Allocator) Free(frame uint64, order int) {
 	// A page claimed from a still-active reservation returns to that
 	// reservation, not to the free lists: the region stays withdrawn
 	// from general allocation until the booking ends.
-	if order == 0 {
+	if order == 0 && len(a.reservations) != 0 {
 		if r, ok := a.reservations[frame/mem.PagesPerHuge]; ok {
 			idx := frame - r.Start()
 			if !r.allocated[idx] {
@@ -375,6 +406,7 @@ func (a *Allocator) Free(frame uint64, order int) {
 		panic(fmt.Sprintf("buddy: double free of block %#x", frame))
 	}
 	a.freePages += size
+	a.markFrames(frame, order, true)
 	o := uint8(order)
 	start := frame
 	for int(o) < MaxOrder {
@@ -398,6 +430,9 @@ func (a *Allocator) Free(frame uint64, order int) {
 // isReservedRange reports whether any frame in [frame, frame+size)
 // belongs to an active reservation.
 func (a *Allocator) isReservedRange(frame, size uint64) bool {
+	if len(a.reservations) == 0 {
+		return false
+	}
 	first := frame / mem.PagesPerHuge
 	last := (frame + size - 1) / mem.PagesPerHuge
 	for hi := first; hi <= last; hi++ {
@@ -545,41 +580,113 @@ func (a *Allocator) FreeHugeCandidates() uint64 {
 	return n
 }
 
-// FreeRegions returns the maximal runs of free frames in address order,
-// merging adjacent free blocks. Reserved regions are not included.
-// The result feeds the Gemini contiguity list.
+// FreeRegions appends to dst the maximal runs of free frames that are
+// at least minPages long, in address order, and returns the extended
+// slice; it stops after max runs (max <= 0 means no limit). Reserved
+// regions are not free. The Gemini contiguity list is built from it,
+// and CA-paging's anchor search reads the first few runs.
 //
-// The returned slice is a cache owned by the allocator, valid until
-// the next allocation or free; callers must not retain or mutate it.
-// Construction is a single O(TotalPages) sweep over the free-order
-// array, avoiding any sort even with hundreds of thousands of free
-// blocks (heavily fragmented memory).
-func (a *Allocator) FreeRegions() []mem.Region {
-	if a.regionsEpoch == a.epoch && a.regionsCache != nil {
-		return a.regionsCache
-	}
-	regions := a.regionsCache[:0]
-	var i uint64
-	for i < a.totalPages {
-		o := a.freeOrd[i]
-		if o < 0 {
-			i++
-			continue
-		}
-		size := uint64(1) << o
-		if n := len(regions); n > 0 && regions[n-1].End() == i {
-			regions[n-1].Pages += size
+// The query reads the free-frame bitmap a word at a time, finding run
+// boundaries with TrailingZeros64, and allocates nothing once dst has
+// room. When minPages >= 63 it also skips every word without a fully
+// free 32-frame half: a run of 63 frames or more contains such a half
+// (see runStart), so on fragmented memory only the words holding
+// useful runs are looked at closely.
+func (a *Allocator) FreeRegions(dst []mem.Region, minPages uint64, max int) []mem.Region {
+	n := 0
+	for pos := uint64(0); pos < a.totalPages; {
+		var s uint64
+		var ok bool
+		if minPages >= 63 {
+			if s, ok = a.nextFreeHalf(pos); ok {
+				s = a.runStart(s)
+			}
 		} else {
-			regions = append(regions, mem.Region{Start: i, Pages: size})
+			s, ok = a.nextFree(pos)
 		}
-		i += size
+		if !ok {
+			break
+		}
+		e := a.runEnd(s)
+		if e-s >= minPages {
+			dst = append(dst, mem.Region{Start: s, Pages: e - s})
+			if n++; n == max {
+				break
+			}
+		}
+		pos = e
 	}
-	a.regionsCache = regions
-	a.regionsEpoch = a.epoch
-	if len(regions) == 0 {
-		return nil
+	return dst
+}
+
+// nextFree returns the first free frame at or after pos, or false.
+func (a *Allocator) nextFree(pos uint64) (uint64, bool) {
+	w := pos >> 6
+	free := a.frames[w] & (^uint64(0) << (pos & 63))
+	for free == 0 {
+		if w++; w == uint64(len(a.frames)) {
+			return 0, false
+		}
+		free = a.frames[w]
 	}
-	return regions
+	return w<<6 + uint64(bits.TrailingZeros64(free)), true
+}
+
+// nextFreeHalf returns the first frame of the first fully free,
+// 32-aligned half-word at or after pos, or false. Words without one
+// cost two compares each.
+func (a *Allocator) nextFreeHalf(pos uint64) (uint64, bool) {
+	w := pos >> 6
+	free := a.frames[w] & (^uint64(0) << (pos & 63))
+	for {
+		if uint32(free) == math.MaxUint32 {
+			return w << 6, true
+		}
+		if free>>32 == math.MaxUint32 {
+			return w<<6 + 32, true
+		}
+		if w++; w == uint64(len(a.frames)) {
+			return 0, false
+		}
+		free = a.frames[w]
+	}
+}
+
+// runStart returns the first frame of the free run that contains the
+// free frame f. FreeRegions calls it from the first fully free
+// 32-frame half at or after the end of the last run it looked at; a
+// run reaching back past that half's word would have put a fully free
+// half in the previous word, so the search reads at most one word to
+// the left.
+func (a *Allocator) runStart(f uint64) uint64 {
+	w := f >> 6
+	// The allocated frames below f in its word, moved to the top.
+	used := ^a.frames[w] << (64 - f&63)
+	for used == 0 {
+		if w == 0 {
+			return 0
+		}
+		w--
+		f = (w + 1) << 6
+		used = ^a.frames[w]
+	}
+	return f - uint64(bits.LeadingZeros64(used))
+}
+
+// runEnd returns the first frame at or after the free frame f that is
+// not free, or totalPages. Padding bits are clear, so a run never
+// extends past the last frame.
+func (a *Allocator) runEnd(f uint64) uint64 {
+	w := f >> 6
+	if used := ^a.frames[w] >> (f & 63); used != 0 {
+		return f + uint64(bits.TrailingZeros64(used))
+	}
+	for w++; w < uint64(len(a.frames)); w++ {
+		if used := ^a.frames[w]; used != 0 {
+			return w<<6 + uint64(bits.TrailingZeros64(used))
+		}
+	}
+	return a.totalPages
 }
 
 // auditLayer labels buddy violations in audit reports.
@@ -594,6 +701,8 @@ const auditLayer = "buddy"
 //     allocated implicitly total minus the other two);
 //   - each order's free index is exact (see checkIndex), so targeted
 //     and untargeted allocation agree on what is free;
+//   - the free-frame bitmap is exact (see checkFrames), so FreeRegions
+//     and FrameFree agree with the free blocks;
 //   - reserved regions are wholly withdrawn from the free lists, and
 //     each reservation's claim bitmap matches its claim counter;
 //   - FMFI computed from the incremental counters matches an FMFI
@@ -651,6 +760,7 @@ func (a *Allocator) CheckInvariants() []audit.Violation {
 		prevEnd = sp.end
 	}
 	vs = append(vs, a.checkIndex()...)
+	vs = append(vs, a.checkFrames()...)
 	// Reservations: in bounds, withdrawn from the free lists, claim
 	// bitmap consistent with the claim counter.
 	for hi, r := range a.reservations {
@@ -749,6 +859,44 @@ func (a *Allocator) checkIndex() []audit.Violation {
 		if x.hint > first {
 			vs = append(vs, audit.Violationf(auditLayer, "free-index", uint64(o),
 				"order-%d hint %d passes the first nonzero summary word %d", o, x.hint, first))
+		}
+	}
+	return vs
+}
+
+// checkFrames reports every "free-frames" discrepancy between the
+// free-frame bitmap and a sweep of the free-order array: a bit is set
+// exactly when its frame lies inside a free block, and the padding
+// bits past totalPages are clear. It reports the lowest wrong bit of
+// each wrong word.
+func (a *Allocator) checkFrames() []audit.Violation {
+	var vs []audit.Violation
+	want := make([]uint64, len(a.frames))
+	for s, o := range a.freeOrd {
+		if o < 0 || int(o) > MaxOrder {
+			continue
+		}
+		end := min(uint64(s)+1<<o, a.totalPages)
+		for f := uint64(s); f < end; f++ {
+			want[f>>6] |= 1 << (f & 63)
+		}
+	}
+	for w, word := range a.frames {
+		diff := word ^ want[w]
+		if diff == 0 {
+			continue
+		}
+		f := uint64(w)<<6 + uint64(bits.TrailingZeros64(diff))
+		switch {
+		case f >= a.totalPages:
+			vs = append(vs, audit.Violationf(auditLayer, "free-frames", f,
+				"padding bit for frame %#x past total %#x is set", f, a.totalPages))
+		case word&(1<<(f&63)) != 0:
+			vs = append(vs, audit.Violationf(auditLayer, "free-frames", f,
+				"bitmap marks frame %#x free but no free block holds it", f))
+		default:
+			vs = append(vs, audit.Violationf(auditLayer, "free-frames", f,
+				"frame %#x lies in a free block but its bitmap bit is clear", f))
 		}
 	}
 	return vs

@@ -3,6 +3,7 @@ package buddy
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -336,7 +337,7 @@ func TestFreeHugeCandidates(t *testing.T) {
 
 func TestFreeRegions(t *testing.T) {
 	a := New(4096)
-	regions := a.FreeRegions()
+	regions := a.FreeRegions(nil, 1, 0)
 	if len(regions) != 1 || regions[0].Start != 0 || regions[0].Pages != 4096 {
 		t.Fatalf("pristine FreeRegions = %v", regions)
 	}
@@ -344,12 +345,17 @@ func TestFreeRegions(t *testing.T) {
 	if err := a.AllocAt(1000, 0); err != nil {
 		t.Fatal(err)
 	}
-	regions = a.FreeRegions()
+	regions = a.FreeRegions(nil, 1, 0)
 	if len(regions) != 2 {
 		t.Fatalf("FreeRegions after hole = %v", regions)
 	}
 	if regions[0].End() != 1000 || regions[1].Start != 1001 {
 		t.Fatalf("hole boundaries wrong: %v", regions)
+	}
+	// The query appends: existing elements of dst are kept.
+	pre := []mem.Region{{Start: 1, Pages: 2}}
+	if got := a.FreeRegions(pre, 1, 1); len(got) != 2 || got[0] != pre[0] || got[1] != regions[0] {
+		t.Fatalf("FreeRegions(pre, 1, 1) = %v", got)
 	}
 }
 
@@ -360,8 +366,121 @@ func TestFreeRegionsEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := a.FreeRegions(); got != nil {
+	if got := a.FreeRegions(nil, 1, 0); len(got) != 0 {
 		t.Fatalf("FreeRegions when full = %v", got)
+	}
+}
+
+// fullAllocator returns an allocator over total frames with every
+// frame allocated, then frees the frames of each [start, end) span one
+// by one, leaving exactly those spans free.
+func fullAllocator(t *testing.T, total uint64, free ...[2]uint64) *Allocator {
+	t.Helper()
+	a := New(total)
+	for f := uint64(0); f < total; f++ {
+		if err := a.AllocAt(f, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sp := range free {
+		for f := sp[0]; f < sp[1]; f++ {
+			a.Free(f, 0)
+		}
+	}
+	if vs := a.CheckInvariants(); len(vs) != 0 {
+		t.Fatal(audit.Report(vs))
+	}
+	return a
+}
+
+// TestFreeRegionsEdges pins run boundaries where the word scan and the
+// half-word skip could go wrong: partial last words, runs crossing
+// word boundaries, all-free and all-allocated memory, the run limit,
+// and runs of exactly 62, 63 and 64 frames around the skip threshold
+// (minPages >= 63), placed both aligned and straddling words.
+func TestFreeRegionsEdges(t *testing.T) {
+	type span = [2]uint64
+	cases := []struct {
+		name     string
+		total    uint64
+		free     []span
+		minPages uint64
+		max      int
+		want     []span
+	}{
+		{"all-free-partial-word", 70, []span{{0, 70}}, 1, 0, []span{{0, 70}}},
+		{"all-free-skip", 70, []span{{0, 70}}, 64, 0, []span{{0, 70}}},
+		{"all-free-too-short", 70, []span{{0, 70}}, 71, 0, nil},
+		{"all-allocated", 130, nil, 1, 0, nil},
+		{"last-frame-partial-word", 70, []span{{3, 5}, {66, 70}}, 1, 0, []span{{3, 5}, {66, 70}}},
+		{"last-frame-single", 65, []span{{64, 65}}, 1, 0, []span{{64, 65}}},
+		{"tail-run-skip", 200, []span{{100, 200}}, 63, 0, []span{{100, 200}}},
+		{"tail-run-single-frame-total", 1, []span{{0, 1}}, 1, 0, []span{{0, 1}}},
+		{"word-boundary-crossings", 256, []span{{10, 11}, {60, 70}, {127, 129}, {191, 256}}, 1, 0,
+			[]span{{10, 11}, {60, 70}, {127, 129}, {191, 256}}},
+		{"max-one", 256, []span{{10, 11}, {60, 70}, {127, 129}}, 1, 1, []span{{10, 11}}},
+		{"max-one-skip", 1024, []span{{5, 50}, {100, 300}, {400, 900}}, 64, 1, []span{{100, 300}}},
+		{"min-filters", 256, []span{{10, 11}, {60, 70}, {127, 129}}, 2, 0, []span{{60, 70}, {127, 129}}},
+		{"run-62-straddling", 256, []span{{40, 102}}, 63, 0, nil},
+		{"run-63-straddling", 256, []span{{40, 103}}, 63, 0, []span{{40, 103}}},
+		{"run-63-straddling-min-64", 256, []span{{40, 103}}, 64, 0, nil},
+		{"run-63-low-aligned", 256, []span{{64, 127}}, 63, 0, []span{{64, 127}}},
+		{"run-63-high-aligned", 256, []span{{97, 160}}, 63, 0, []span{{97, 160}}},
+		{"run-64-aligned", 256, []span{{64, 128}}, 64, 0, []span{{64, 128}}},
+		{"run-64-half-offset", 256, []span{{96, 160}}, 64, 0, []span{{96, 160}}},
+		{"run-64-straddling", 256, []span{{70, 134}}, 64, 0, []span{{70, 134}}},
+		{"run-64-min-65", 256, []span{{70, 134}}, 65, 0, nil},
+		{"short-runs-then-long", 512, []span{{0, 40}, {41, 100}, {130, 140}, {150, 400}}, 63, 0, []span{{150, 400}}},
+		{"long-run-from-frame-zero", 512, []span{{0, 300}}, 512, 0, nil},
+		{"adjacent-long-runs", 512, []span{{0, 100}, {101, 300}, {301, 512}}, 100, 0,
+			[]span{{0, 100}, {101, 300}, {301, 512}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := fullAllocator(t, c.total, c.free...)
+			var want []mem.Region
+			for _, sp := range c.want {
+				want = append(want, mem.Region{Start: sp[0], Pages: sp[1] - sp[0]})
+			}
+			got := a.FreeRegions(nil, c.minPages, c.max)
+			if !slices.Equal(got, want) {
+				t.Fatalf("FreeRegions(nil, %d, %d) = %v, want %v", c.minPages, c.max, got, want)
+			}
+			if ref := filterRegions(refFreeRegions(a), c.minPages, c.max); !slices.Equal(got, ref) {
+				t.Fatalf("FreeRegions(nil, %d, %d) = %v, reference sweep %v", c.minPages, c.max, got, ref)
+			}
+		})
+	}
+}
+
+// TestFreeRegionsAllocs pins the query's allocation-free contract:
+// both the Gemini-shaped (minPages 64, no limit) and the
+// CA-paging-shaped (minPages 1, max 32) query into a buffer with room
+// allocate nothing.
+func TestFreeRegionsAllocs(t *testing.T) {
+	a := New(testPages)
+	rng := rand.New(rand.NewSource(3))
+	var free []uint64
+	for i := 0; i < 6000; i++ {
+		f, err := a.Alloc(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(3) == 0 {
+			free = append(free, f)
+		}
+	}
+	for _, f := range free {
+		a.Free(f, 0)
+	}
+	dst := make([]mem.Region, 0, len(a.FreeRegions(nil, 1, 0)))
+	for _, q := range []struct {
+		min uint64
+		max int
+	}{{64, 0}, {1, 32}} {
+		if n := testing.AllocsPerRun(100, func() { dst = a.FreeRegions(dst[:0], q.min, q.max) }); n != 0 {
+			t.Errorf("FreeRegions(dst, %d, %d) allocated %v times per run, want 0", q.min, q.max, n)
+		}
 	}
 }
 

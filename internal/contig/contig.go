@@ -3,6 +3,10 @@
 // memory regions used to place whole VMAs so that forthcoming faults in
 // the VMA land in one contiguous physical run.
 //
+// The simulator refills the list periodically from the buddy
+// allocator's free runs (buddy.(*Allocator).FreeRegions, a scan of its
+// maintained free-frame bitmap) and edits it between refills.
+//
 // The list is kept sorted by starting address so that small, random
 // allocations are served from the low end of physical memory without
 // fragmenting large contiguous regions. Searches use the next-fit
@@ -45,8 +49,9 @@ func (l *List) Len() int { return l.count }
 
 // Rebuild replaces the list contents with the given regions, which must
 // be sorted by start address and non-overlapping (as produced by
-// buddy.(*Allocator).FreeRegions). The next-fit cursor resets to the
-// head.
+// buddy.(*Allocator).FreeRegions). Each region is copied into a node of
+// its own, so the caller may reuse the slice once Rebuild returns. The
+// next-fit cursor resets to the head.
 func (l *List) Rebuild(regions []mem.Region) {
 	l.head, l.tail, l.cursor = nil, nil, nil
 	l.count = 0

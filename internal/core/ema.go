@@ -33,17 +33,14 @@ func (d *offsetDesc) covers(v *machine.VMA, va uint64) bool {
 // a meaningful sub-VMA anchor.
 const minAnchorRegion = 64
 
-// usefulRegions copies the allocator's free-region snapshot, keeping
-// only runs large enough to anchor on. The copy matters: the snapshot
-// is invalidated by the next allocation.
-func usefulRegions(rs []mem.Region) []mem.Region {
-	out := make([]mem.Region, 0, 64)
-	for _, r := range rs {
-		if r.Pages >= minAnchorRegion {
-			out = append(out, r)
-		}
-	}
-	return out
+// rebuildContig refills the contiguity list from the guest
+// allocator's free runs of at least minAnchorRegion frames. The
+// regions buffer is reused across rebuilds: Rebuild copies each
+// region into its own node.
+func (p *GuestPolicy) rebuildContig(L *machine.Layer) {
+	p.regions = L.Buddy.FreeRegions(p.regions[:0], minAnchorRegion, 0)
+	p.contig.Rebuild(p.regions)
+	p.contigBuiltAt, p.contigBuiltSet = p.now, true
 }
 
 // findDesc locates the descriptor covering (vmaID, va) with
@@ -110,8 +107,7 @@ func (p *GuestPolicy) anchor(L *machine.Layer, v *machine.VMA, va uint64) *offse
 		// At most one on-demand rebuild per tick: when fragmentation
 		// leaves no useful regions, rebuilding on every fault would
 		// dominate the run.
-		p.contig.Rebuild(usefulRegions(L.Buddy.FreeRegions()))
-		p.contigBuiltAt, p.contigBuiltSet = p.now, true
+		p.rebuildContig(L)
 	}
 	vaPage := va &^ uint64(mem.PageSize-1)
 	vaHugeBase := va &^ uint64(mem.HugeSize-1)

@@ -36,6 +36,7 @@ type GuestPolicy struct {
 	bookings map[uint64]*booking
 	bucket   *Bucket
 	contig   *contig.List
+	regions  []mem.Region // FreeRegions scratch for rebuildContig
 	ctl      *TimeoutCtl
 
 	now            uint64
@@ -174,8 +175,7 @@ func (p *GuestPolicy) Tick(L *machine.Layer) {
 	// Refresh the contiguity list view periodically and drop
 	// descriptors whose VMA is gone.
 	if p.now%4 == 1 {
-		p.contig.Rebuild(usefulRegions(L.Buddy.FreeRegions()))
-		p.contigBuiltAt, p.contigBuiltSet = p.now, true
+		p.rebuildContig(L)
 		kept := p.descs[:0]
 		for _, d := range p.descs {
 			if L.Space.Find(d.start) == d.vma {

@@ -40,6 +40,7 @@ type HostPolicy struct {
 	// the region's first EPT fault (HostOffset = GPA1 - HPA1).
 	anchors        map[uint64]uint64
 	contig         *contig.List
+	regions        []mem.Region // FreeRegions scratch for rebuildContig
 	contigBuiltAt  uint64
 	contigBuiltSet bool
 
@@ -86,8 +87,7 @@ func (p *HostPolicy) OnFault(L *machine.Layer, gpa uint64, v *machine.VMA) machi
 	anchor, ok := p.anchors[hi]
 	if !ok {
 		if p.contig.Len() == 0 && (!p.contigBuiltSet || p.contigBuiltAt != p.now) {
-			p.contig.Rebuild(usefulRegions(L.Buddy.FreeRegions()))
-			p.contigBuiltAt, p.contigBuiltSet = p.now, true
+			p.rebuildContig(L)
 		}
 		if f, found := p.contig.FindNextFitAligned(mem.PagesPerHuge, mem.PagesPerHuge); found {
 			anchor = f
@@ -104,6 +104,15 @@ func (p *HostPolicy) OnFault(L *machine.Layer, gpa uint64, v *machine.VMA) machi
 		}
 	}
 	return machine.Decision{Kind: mem.Base}
+}
+
+// rebuildContig refills the contiguity list from the host allocator's
+// free runs of at least minAnchorRegion frames, reusing the regions
+// buffer (Rebuild copies each region into its own node).
+func (p *HostPolicy) rebuildContig(L *machine.Layer) {
+	p.regions = L.Buddy.FreeRegions(p.regions[:0], minAnchorRegion, 0)
+	p.contig.Rebuild(p.regions)
+	p.contigBuiltAt, p.contigBuiltSet = p.now, true
 }
 
 // TickIdleHorizon implements machine.TickDeadliner: the host daemon
@@ -124,8 +133,7 @@ func (p *HostPolicy) Tick(L *machine.Layer) {
 	p.now++
 	p.g.Scan(p.now)
 	if p.now%4 == 1 {
-		p.contig.Rebuild(usefulRegions(L.Buddy.FreeRegions()))
-		p.contigBuiltAt, p.contigBuiltSet = p.now, true
+		p.rebuildContig(L)
 		p.pruneAnchors()
 	}
 	if p.g.cfg.PromotePeriod > 1 && p.now%uint64(p.g.cfg.PromotePeriod) != 0 {

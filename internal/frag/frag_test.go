@@ -257,7 +257,7 @@ func FuzzFragmenterOracle(f *testing.F) {
 			if fa, fb := a.FMFI(mem.HugeOrder), b.FMFI(mem.HugeOrder); fa != fb {
 				t.Fatalf("%s: FMFI %v, reference %v", step, fa, fb)
 			}
-			if ra, rb := a.FreeRegions(), b.FreeRegions(); !slices.Equal(ra, rb) {
+			if ra, rb := a.FreeRegions(nil, 1, 0), b.FreeRegions(nil, 1, 0); !slices.Equal(ra, rb) {
 				t.Fatalf("%s: free regions diverge:\n got %v\n ref %v", step, ra, rb)
 			}
 			if vs := audit.Run(got, a); len(vs) != 0 {

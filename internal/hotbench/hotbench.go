@@ -4,7 +4,8 @@
 // access paths, demand faulting, and the end-to-end Figure 2 sweep),
 // plus control-plane cases for the work fragmented and reused cells
 // do outside it (fragmentation and recovery, ranged page-table scans,
-// TLB region flushes, and order-0 allocation from fragmented memory),
+// TLB region flushes, order-0 allocation from fragmented memory, and
+// the free-run queries behind the contiguity list),
 // shared between `go test -bench` and paperbench's -bench-export mode
 // so both always measure the same code with the same names. The
 // access cases all run the one access path, workload.StepOne/StepN
@@ -52,6 +53,7 @@ func Suite() []Case {
 		{"ScanRange", benchScanRange},
 		{"FlushHugeRegion", benchFlushHugeRegion},
 		{"AllocFragmented", benchAllocFragmented},
+		{"FreeRegions", benchFreeRegions},
 	}
 }
 
@@ -322,5 +324,24 @@ func benchAllocFragmented(b *testing.B) {
 			b.Fatal(err)
 		}
 		a.Free(f, 0)
+	}
+}
+
+// benchFreeRegions measures the free-run queries on the same
+// fragmented 2560 MB allocator as AllocFragmented: per op, one
+// Gemini-shaped query (runs of at least 64 frames, no limit, as a
+// contiguity-list rebuild makes) and one CA-paging-shaped query (the
+// first 32 runs of any length, as an anchor search makes), both into a
+// reused buffer, so the case runs at 0 allocs/op. Fragmenting is off
+// the clock.
+func benchFreeRegions(b *testing.B) {
+	a := buddy.New(2560 << 20 >> mem.PageShift)
+	frag.New(a, 1).FragmentTo(0.96, 0.55)
+	buf := a.FreeRegions(nil, 1, 0)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = a.FreeRegions(buf[:0], 64, 0)
+		buf = a.FreeRegions(buf[:0], 1, 32)
 	}
 }

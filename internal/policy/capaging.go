@@ -39,6 +39,7 @@ func DefaultCAPagingParams() CAPagingParams {
 type CAPaging struct {
 	P       CAPagingParams
 	anchors map[int]uint64 // VMA ID -> anchor frame
+	regions []mem.Region   // FreeRegions scratch for chooseAnchor
 	cursor  int
 	now     uint64
 }
@@ -51,22 +52,17 @@ func NewCAPaging(p CAPagingParams) *CAPaging {
 // Name implements Policy.
 func (c *CAPaging) Name() string { return "ca-paging" }
 
-// chooseAnchor picks an anchor frame for the VMA: the first free
-// region that fits the whole VMA, else the largest free region, with
-// the anchor advanced so that target frames for huge-aligned virtual
-// addresses are huge-aligned.
+// chooseAnchor picks an anchor frame for the VMA from the first
+// max(1, MaxAnchorSearch) free runs in address order, the only ones it
+// reads from the allocator: the first run that fits the whole VMA,
+// else the largest of them, with the anchor advanced so that target
+// frames for huge-aligned virtual addresses are huge-aligned.
 func (c *CAPaging) chooseAnchor(L *machine.Layer, v *machine.VMA) (uint64, bool) {
-	regions := L.Buddy.FreeRegions()
-	if len(regions) == 0 {
-		return 0, false
-	}
+	c.regions = L.Buddy.FreeRegions(c.regions[:0], 1, max(1, c.P.MaxAnchorSearch))
 	want := v.Pages()
 	var best mem.Region
 	found := false
-	for i, r := range regions {
-		if i >= c.P.MaxAnchorSearch && found {
-			break
-		}
+	for _, r := range c.regions {
 		if r.Pages >= want {
 			best, found = r, true
 			break
@@ -95,8 +91,8 @@ func (c *CAPaging) chooseAnchor(L *machine.Layer, v *machine.VMA) (uint64, bool)
 }
 
 // noAnchor marks a VMA whose anchor search failed; retried after the
-// next background tick rather than on every fault (an anchor search
-// walks the allocator's free regions, far too costly per fault).
+// next background tick rather than on every fault, once memory has
+// churned.
 const noAnchor = ^uint64(0)
 
 // OnFault implements Policy: targeted base-page placement preserving

@@ -1,8 +1,10 @@
 package policy
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/buddy"
 	"repro/internal/frag"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -261,6 +263,101 @@ func TestCAPagingFallbackWhenAnchorOccupied(t *testing.T) {
 	}
 	if vm.Guest.Table.Mapped4K() != 2*mem.PagesPerHuge {
 		t.Fatalf("Mapped4K = %d", vm.Guest.Table.Mapped4K())
+	}
+}
+
+// refChooseAnchor is CA-paging's anchor choice over the allocator's
+// whole free-run list, the form it took before the query was bounded:
+// the loop stops at index MaxAnchorSearch once it has a candidate, so
+// it reads only the first max(1, MaxAnchorSearch) runs.
+func refChooseAnchor(regions []mem.Region, p CAPagingParams, v *machine.VMA) (uint64, bool) {
+	if len(regions) == 0 {
+		return 0, false
+	}
+	want := v.Pages()
+	var best mem.Region
+	found := false
+	for i, r := range regions {
+		if i >= p.MaxAnchorSearch && found {
+			break
+		}
+		if r.Pages >= want {
+			best, found = r, true
+			break
+		}
+		if !found || r.Pages > best.Pages {
+			best, found = r, true
+		}
+	}
+	if !found {
+		return 0, false
+	}
+	vmaStartPage := v.Start / mem.PageSize
+	anchor := best.Start
+	congr := vmaStartPage % mem.PagesPerHuge
+	if rem := anchor % mem.PagesPerHuge; rem != congr {
+		anchor += (congr + mem.PagesPerHuge - rem) % mem.PagesPerHuge
+	}
+	if anchor >= best.End() {
+		return 0, false
+	}
+	return anchor, true
+}
+
+// TestCAPagingAnchorMatchesFullList checks that chooseAnchor, which
+// asks the allocator for only the runs it reads, picks the same anchor
+// as refChooseAnchor over the full list, on fragmented and exhausted
+// allocators, for search bounds at and around the run limit and VMAs
+// that fit the first run, a later run, or none.
+func TestCAPagingAnchorMatchesFullList(t *testing.T) {
+	searches := []int{-1, 0, 1, 2, 32, 1 << 20}
+	sizes := []uint64{1, 7, 100, mem.PagesPerHuge, 3*mem.PagesPerHuge + 5, 1 << 16}
+	for seed := int64(1); seed <= 6; seed++ {
+		a := buddy.New(hostPages + 70)
+		if seed <= 3 {
+			frag.New(a, seed).FragmentTo(0.9, 0.6)
+		} else {
+			// Free runs of 1 to 8191 frames, log-uniform, between
+			// 1 to 8 allocated frames: the first few runs differ in
+			// size, so the search bound decides the anchor.
+			for {
+				if _, err := a.Alloc(0); err != nil {
+					break
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for f := uint64(0); f < a.TotalPages(); {
+				f += uint64(1 + rng.Intn(8))
+				n := uint64(1)<<rng.Intn(13) + uint64(rng.Intn(1<<rng.Intn(13)))
+				for end := min(f+n, a.TotalPages()); f < end; f++ {
+					a.Free(f, 0)
+				}
+			}
+		}
+		L := &machine.Layer{Buddy: a}
+		for phase := 0; phase < 2; phase++ {
+			if phase == 1 {
+				// Exhaust the allocator: no run at all.
+				for {
+					if _, err := a.Alloc(0); err != nil {
+						break
+					}
+				}
+			}
+			full := a.FreeRegions(nil, 1, 0)
+			for _, ms := range searches {
+				c := NewCAPaging(CAPagingParams{MaxAnchorSearch: ms})
+				for i, n := range sizes {
+					v := &machine.VMA{ID: i, Start: uint64(i*977) * mem.PageSize, Length: n * mem.PageSize}
+					got, gotOK := c.chooseAnchor(L, v)
+					want, wantOK := refChooseAnchor(full, c.P, v)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("seed %d phase %d MaxAnchorSearch %d VMA %d pages: chooseAnchor = %#x, %v; full-list loop %#x, %v",
+							seed, phase, ms, n, got, gotOK, want, wantOK)
+					}
+				}
+			}
+		}
 	}
 }
 
